@@ -1,8 +1,8 @@
 """Command-line surface.
 
 Exit codes are part of the contract: 0 success / verified, 1 counterexamples
-found, 2 input parse error, 3 input beyond an exhaustive-search cap, 4
-invalid family spec.
+found, 2 input parse error or malformed worker count, 3 input beyond an
+exhaustive-search cap, 4 invalid family spec.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from .canon import are_isomorphic
 from .errors import (
     CapacityExceeded,
     GraphError,
+    InvalidJobCount,
     InvalidLengths,
     MalformedGraph6,
     NotConnected,
@@ -258,25 +259,27 @@ def _report_options(fn):
     return fn
 
 
-def _emit_report(report: enumeration.CensusReport, fmt: str) -> None:
+def _run_report(build, max_n: int, fmt: str, jobs: Optional[int]) -> enumeration.CensusReport:
+    try:
+        report = build(max_n, jobs)
+    except TooLarge as exc:
+        _fail(EXIT_TOO_LARGE, str(exc))
+    except InvalidJobCount as exc:
+        _fail(EXIT_PARSE, str(exc))
     if fmt == "json":
         click.echo(report.to_json(), nl=False)
     elif fmt == "csv":
         click.echo(report.to_csv(), nl=False)
     else:
         click.echo(report.to_text(), nl=False)
+    return report
 
 
 @main.command()
 @_report_options
 def verify(max_n: int, fmt: str, jobs: Optional[int]) -> None:
     """Exhaustively verify the characterization up to --max-n vertices."""
-    try:
-        report = enumeration.verify_main_theorem(max_n, jobs)
-    except TooLarge as exc:
-        _fail(EXIT_TOO_LARGE, str(exc))
-    _emit_report(report, fmt)
-    if report.counterexamples:
+    if _run_report(enumeration.verify_main_theorem, max_n, fmt, jobs).counterexamples:
         sys.exit(EXIT_COUNTEREXAMPLE)
 
 
@@ -284,11 +287,7 @@ def verify(max_n: int, fmt: str, jobs: Optional[int]) -> None:
 @_report_options
 def census(max_n: int, fmt: str, jobs: Optional[int]) -> None:
     """Count table per vertex count, without theorem assertions."""
-    try:
-        report = enumeration.census(max_n, jobs)
-    except TooLarge as exc:
-        _fail(EXIT_TOO_LARGE, str(exc))
-    _emit_report(report, fmt)
+    _run_report(enumeration.census, max_n, fmt, jobs)
 
 
 if __name__ == "__main__":

@@ -16,10 +16,10 @@ from typing import Optional
 from .canon import canonical_rows
 from .errors import TooLarge
 from .families import ThreePcSpec, family_tables, format_spec, recognize_3pc
-from .graphs import Graph, bits, flood, induced_rows, is_connected_masked, is_two_connected
+from .graphs import Graph, bits, flood, induced_rows, is_two_connected
 from .hamiltonicity import find_hamiltonian_cycle, is_hc_obstruction
 
-DETECT_3PC_MAX_VERTICES = 20  # subset-enumeration baseline
+DETECT_3PC_MAX_VERTICES = 20  # ordered scan of up to 2^n vertex subsets
 CLASSIFY_MAX_VERTICES = 16  # bounded by the obstruction minimality check
 
 
@@ -79,48 +79,9 @@ def find_induced_wheel(g: Graph) -> Optional[tuple[int, tuple[int, ...]]]:
     return None
 
 
-def is_wheel_graph(g: Graph) -> bool:
-    """Whole-graph wheel recognition: some vertex of degree >= 3 whose removal
-    leaves exactly a spanning induced cycle."""
-    if g.n < 4:
-        return False
-    full = g.vertex_mask
-    for hub in range(g.n):
-        if g.rows[hub].bit_count() < 3:
-            continue
-        rest = full & ~(1 << hub)
-        if all((g.rows[v] & rest).bit_count() == 2 for v in bits(rest)) and is_connected_masked(
-            g.rows, rest
-        ):
-            return True
-    return False
-
-
 def contains_induced_wheel(n: int, rows: tuple[int, ...]) -> bool:
-    """Full-subset wheel containment: scans every induced cycle, then hubs."""
-    full = (1 << n) - 1
-    for sub in range(7, full + 1):
-        if sub.bit_count() < 3:
-            continue
-        m = sub
-        is_cycle = True
-        while m:
-            b = m & -m
-            if (rows[b.bit_length() - 1] & sub).bit_count() != 2:
-                is_cycle = False
-                break
-            m ^= b
-        if not is_cycle:
-            continue
-        if flood(rows, sub & -sub, sub) != sub:
-            continue
-        rest = full & ~sub
-        while rest:
-            b = rest & -rest
-            rest ^= b
-            if (rows[b.bit_length() - 1] & sub).bit_count() >= 3:
-                return True
-    return False
+    """Bool view of :func:`find_induced_wheel` on raw bitmask rows."""
+    return find_induced_wheel(Graph(n, rows)) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -128,64 +89,50 @@ def contains_induced_wheel(n: int, rows: tuple[int, ...]) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def find_induced_3pc(g: Graph) -> Optional[tuple[ThreePcSpec, frozenset[int]]]:
-    """First vertex subset (size ascending, then lexicographic) inducing a 3PC.
+def _first_in_tables(
+    n: int, rows: tuple[int, ...], tables
+) -> Optional[tuple[ThreePcSpec, tuple[int, ...]]]:
+    """First vertex subset (size ascending, then lexicographic) whose induced
+    subgraph lands in the canonical tables, with the spec it lands on.
 
-    Subsets whose induced graph has a vertex of degree < 2 or is disconnected
-    are skipped; neither can carry a 3PC.
+    ``tables`` maps subgraph order k to (degree-signature set, canon dict) as
+    produced by :func:`obstructa.families.family_tables`.  A subset is
+    canonicalized only if every induced degree is >= 2, its (edge count,
+    degree sequence) signature is in the table, and it induces a connected
+    graph; no 3PC fails any of these.
     """
-    if g.n > DETECT_3PC_MAX_VERTICES:
-        raise TooLarge(f"3PC detection capped at {DETECT_3PC_MAX_VERTICES} vertices")
-    for size in range(5, g.n + 1):
-        for subset in combinations(range(g.n), size):
-            sub = induced_rows(g.rows, subset)
-            if any(r.bit_count() < 2 for r in sub):
-                continue
-            if not is_connected_masked(sub, (1 << size) - 1):
-                continue
-            spec = recognize_3pc(Graph(size, sub))
-            if spec is not None:
-                return spec, frozenset(subset)
+    pows = [1 << v for v in range(n)]
+    for k in sorted(tables):
+        sigs, canons = tables[k]
+        for subset in combinations(range(n), k):
+            sub = sum(map(pows.__getitem__, subset))
+            for v in subset:
+                if (rows[v] & sub).bit_count() < 2:
+                    break
+            else:  # every induced degree is >= 2
+                degs = [(rows[v] & sub).bit_count() for v in subset]
+                if (sum(degs) // 2, tuple(sorted(degs))) not in sigs:
+                    continue
+                if flood(rows, sub & -sub, sub) != sub:
+                    continue
+                spec = canons.get(canonical_rows(k, induced_rows(rows, subset)))
+                if spec is not None:
+                    return spec, subset
     return None
 
 
-def scan_contains_family(n: int, rows: tuple[int, ...], tables) -> bool:
-    """Membership scan: does some induced subgraph land in the canonical tables?
+def find_induced_3pc(g: Graph) -> Optional[tuple[ThreePcSpec, frozenset[int]]]:
+    """First vertex subset (size ascending, then lexicographic) inducing a 3PC,
+    with its canonical spec."""
+    if g.n > DETECT_3PC_MAX_VERTICES:
+        raise TooLarge(f"3PC detection capped at {DETECT_3PC_MAX_VERTICES} vertices")
+    hit = _first_in_tables(g.n, g.rows, family_tables(g.n))
+    return None if hit is None else (hit[0], frozenset(hit[1]))
 
-    ``tables`` maps subgraph order k to (degree-signature set, canon dict) as
-    produced by :func:`obstructa.families.family_tables`.
-    """
-    if not tables:
-        return False
-    sizes = set(tables)
-    for sub in range(1 << n):
-        k = sub.bit_count()
-        if k not in sizes:
-            continue
-        sigs, canons = tables[k]
-        degs = []
-        m2 = 0
-        ok = True
-        m = sub
-        while m:
-            b = m & -m
-            d = (rows[b.bit_length() - 1] & sub).bit_count()
-            if d < 2:
-                ok = False
-                break
-            degs.append(d)
-            m2 += d
-            m ^= b
-        if not ok:
-            continue
-        if (m2 // 2, tuple(sorted(degs))) not in sigs:
-            continue
-        if flood(rows, sub & -sub, sub) != sub:
-            continue
-        verts = tuple(bits(sub))
-        if canonical_rows(k, induced_rows(rows, verts)) in canons:
-            return True
-    return False
+
+def scan_contains_family(n: int, rows: tuple[int, ...], tables) -> bool:
+    """Does some induced subgraph land in ``tables`` (see :func:`_first_in_tables`)?"""
+    return _first_in_tables(n, rows, tables) is not None
 
 
 # ---------------------------------------------------------------------------

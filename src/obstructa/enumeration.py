@@ -22,15 +22,15 @@ side to its wheel-free members; the census still tabulates all recognized
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Iterator, Optional
 
 from .canon import canonical_rows, graph_from_canonical
-from .errors import TooLarge
+from .errors import InvalidJobCount, TooLarge
 from .families import family_tables, recognize_3pc
 from .graphs import Graph, encode_graph6, is_two_connected
 from .hamiltonicity import _cycle_search, is_hc_obstruction
-from .detectors import contains_induced_wheel, scan_contains_family
+from .detectors import find_induced_wheel, scan_contains_family
 
 ENUMERATION_MAX_VERTICES = 10
 
@@ -38,15 +38,35 @@ _atlas: dict[int, tuple[bytes, ...]] = {0: (bytes([0]),)}
 
 
 def resolve_jobs(jobs: Optional[int] = None) -> int:
-    if jobs is not None:
-        return max(1, jobs)
-    env = os.environ.get("OBSTRUCTA_JOBS")
-    if env:
+    """Worker count: ``jobs`` if given, else ``OBSTRUCTA_JOBS``, else 1."""
+    source = "jobs"
+    if jobs is None:
+        env = os.environ.get("OBSTRUCTA_JOBS")
+        if not env:
+            return 1
+        source = "OBSTRUCTA_JOBS"
         try:
-            return max(1, int(env))
+            jobs = int(env)
         except ValueError:
-            pass
-    return 1
+            raise InvalidJobCount(f"OBSTRUCTA_JOBS={env!r} is not an integer") from None
+    if jobs < 1:
+        raise InvalidJobCount(f"{source} must be at least 1, got {jobs}")
+    return jobs
+
+
+def _pool_starmap(fn: Callable, args: list[tuple], jobs: int) -> list:
+    """``fn(*a)`` for every ``a`` in ``args`` across ``jobs`` processes.
+
+    ``fork`` starts each worker as a copy of this process, so a pool (one
+    per vertex count and stage) costs no interpreter start or package
+    import.  Only module-level functions and picklable arguments cross the
+    pool, so a ``spawn`` context computes the same results, just slower to
+    start; ``fork`` limits parallel runs to POSIX systems.
+    """
+    import multiprocessing as mp
+
+    with mp.get_context("fork").Pool(jobs) as pool:
+        return pool.starmap(fn, args)
 
 
 def _child_forms(n_parent: int, parents: list[tuple[int, ...]]) -> set[bytes]:
@@ -75,11 +95,7 @@ def _forms_for(n: int, jobs: int = 1) -> tuple[bytes, ...]:
     parent_forms = _forms_for(n - 1, jobs)
     parents = [graph_from_canonical(f).rows for f in parent_forms]
     if jobs > 1 and len(parents) >= jobs:
-        import multiprocessing as mp
-
-        chunks = [parents[i::jobs] for i in range(jobs)]
-        with mp.get_context("fork").Pool(jobs) as pool:
-            parts = pool.starmap(_child_forms, [(n - 1, c) for c in chunks])
+        parts = _pool_starmap(_child_forms, [(n - 1, parents[i::jobs]) for i in range(jobs)], jobs)
         seen: set[bytes] = set()
         for p in parts:
             seen |= p
@@ -205,7 +221,7 @@ def _survey_chunk(n: int, forms: list[bytes]) -> tuple:
             recognized = recognize_3pc(g)
         if recognized is not None:
             counts[5] += 1  # recognized_3pcs
-        wheel_free = not contains_induced_wheel(n, rows)
+        wheel_free = find_induced_wheel(g) is None
         if not wheel_free:
             continue
         counts[1] += 1  # wheel_free_2conn
@@ -226,17 +242,17 @@ def _survey_chunk(n: int, forms: list[bytes]) -> tuple:
     return counts, obstruction_forms, wheel_free_3pc_forms, ham_violations
 
 
-def _census_rows(max_n: int, jobs: int) -> tuple[tuple[CensusRow, ...], tuple[str, ...]]:
+def verify_main_theorem(max_n: int, jobs: Optional[int] = None) -> CensusReport:
+    """Census plus counterexample collection for both theorem directions."""
+    if max_n > ENUMERATION_MAX_VERTICES:
+        raise TooLarge(f"verification capped at {ENUMERATION_MAX_VERTICES} vertices")
+    jobs = resolve_jobs(jobs)
     rows = []
     counterexamples: set[str] = set()
     for n in range(1, max_n + 1):
         forms = _forms_for(n, jobs)
         if jobs > 1 and len(forms) > 4 * jobs:
-            import multiprocessing as mp
-
-            chunks = [list(forms[i::jobs]) for i in range(jobs)]
-            with mp.get_context("fork").Pool(jobs) as pool:
-                parts = pool.starmap(_survey_chunk, [(n, c) for c in chunks])
+            parts = _pool_starmap(_survey_chunk, [(n, list(forms[i::jobs])) for i in range(jobs)], jobs)
         else:
             parts = [_survey_chunk(n, list(forms))]
         counts = [0] * 7
@@ -265,20 +281,9 @@ def _census_rows(max_n: int, jobs: int) -> tuple[tuple[CensusRow, ...], tuple[st
                 wheel_free_3pcs=counts[6],
             )
         )
-    return tuple(rows), tuple(sorted(counterexamples))
+    return CensusReport(max_n, tuple(rows), tuple(sorted(counterexamples)))
 
 
 def census(max_n: int, jobs: Optional[int] = None) -> CensusReport:
-    """Count table only; theorem verification is verify_main_theorem's job."""
-    if max_n > ENUMERATION_MAX_VERTICES:
-        raise TooLarge(f"census capped at {ENUMERATION_MAX_VERTICES} vertices")
-    rows, _ = _census_rows(max_n, resolve_jobs(jobs))
-    return CensusReport(max_n, rows, ())
-
-
-def verify_main_theorem(max_n: int, jobs: Optional[int] = None) -> CensusReport:
-    """Census plus counterexample collection for both theorem directions."""
-    if max_n > ENUMERATION_MAX_VERTICES:
-        raise TooLarge(f"verification capped at {ENUMERATION_MAX_VERTICES} vertices")
-    rows, counterexamples = _census_rows(max_n, resolve_jobs(jobs))
-    return CensusReport(max_n, rows, counterexamples)
+    """Count table only: :func:`verify_main_theorem` without its counterexamples."""
+    return replace(verify_main_theorem(max_n, jobs), counterexamples=())

@@ -37,6 +37,10 @@ class TooLarge(GraphError):
     """Input exceeds the documented exhaustive-search cap."""
 
 
+class InvalidJobCount(GraphError):
+    """A worker count (argument or OBSTRUCTA_JOBS) is not an integer >= 1."""
+
+
 class ShortVariant(GraphError):
     """A path of length one makes the requested configuration a short variant."""
 

@@ -118,11 +118,6 @@ def graph_from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     return Graph(n, tuple(rows))
 
 
-def graph_from_rows(n: int, rows: Iterable[int]) -> Graph:
-    """Trusted constructor for internal callers holding valid bitmask rows."""
-    return Graph(n, tuple(rows))
-
-
 # ---------------------------------------------------------------------------
 # graph6 codec (short form, printable bytes 63..126)
 # ---------------------------------------------------------------------------
@@ -436,15 +431,6 @@ def line_graph(g: Graph) -> tuple[Graph, tuple[tuple[int, int], ...]]:
 # ---------------------------------------------------------------------------
 # small structural predicates shared across modules
 # ---------------------------------------------------------------------------
-
-
-def is_cycle_graph(g: Graph) -> bool:
-    """Whole graph is a single cycle."""
-    return (
-        g.n >= 3
-        and all(r.bit_count() == 2 for r in g.rows)
-        and is_connected_masked(g.rows, g.vertex_mask)
-    )
 
 
 def is_path_graph(g: Graph) -> bool:

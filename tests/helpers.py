@@ -6,6 +6,7 @@ and canonicalization code paths so agreement tests are two-route checks.
 from __future__ import annotations
 
 import itertools
+from typing import Optional
 
 from obstructa.graphs import Graph, bits, flood, graph_from_edges, induced_rows
 
@@ -164,8 +165,9 @@ def isomorphic_brute(g1: Graph, g2: Graph) -> bool:
     return extend(0)
 
 
-def threepc_subset_oracle(g: Graph, spec_graphs: dict[int, list[Graph]]) -> bool:
-    """Induced 3PC containment via brute isomorphism against built specs.
+def threepc_subset_oracle(g: Graph, spec_graphs: dict[int, list[Graph]]) -> Optional[frozenset[int]]:
+    """First vertex subset (size ascending, then lexicographic) inducing a 3PC,
+    found by brute isomorphism against built specs; None if there is none.
 
     ``spec_graphs`` maps vertex count to the list of constructed 3PC graphs.
     """
@@ -177,8 +179,8 @@ def threepc_subset_oracle(g: Graph, spec_graphs: dict[int, list[Graph]]) -> bool
             sub = Graph(size, induced_rows(g.rows, subset))
             for h in candidates:
                 if isomorphic_brute(sub, h):
-                    return True
-    return False
+                    return frozenset(subset)
+    return None
 
 
 def k4_minor_oracle(g: Graph) -> bool:

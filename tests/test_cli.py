@@ -168,3 +168,24 @@ class TestVerifyAndCensus:
         res = run("census", "--max-n", "4")
         payload = json.loads(res.output)
         assert [r["all"] for r in payload["rows"]] == [1, 2, 4, 11]
+
+
+class TestJobs:
+    def assert_usage_error(self, res):
+        assert res.exit_code == 2
+        lines = res.output.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert isinstance(res.exception, SystemExit)  # a clean exit, no traceback
+
+    def test_env_not_an_integer(self):
+        self.assert_usage_error(run("verify", "--max-n", "4", env={"OBSTRUCTA_JOBS": "abc"}))
+
+    def test_env_zero(self):
+        self.assert_usage_error(run("census", "--max-n", "4", env={"OBSTRUCTA_JOBS": "0"}))
+
+    def test_flag_zero(self):
+        self.assert_usage_error(run("verify", "--max-n", "4", "--jobs", "0"))
+
+    def test_valid_env(self):
+        res = run("verify", "--max-n", "4", env={"OBSTRUCTA_JOBS": "2"})
+        assert res.exit_code == 0

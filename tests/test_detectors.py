@@ -4,12 +4,11 @@ import random
 import pytest
 
 import helpers
+from obstructa import detectors
 from obstructa.detectors import (
     classify,
-    contains_induced_wheel,
     find_induced_3pc,
     find_induced_wheel,
-    is_wheel_graph,
     scan_contains_family,
 )
 from obstructa.errors import TooLarge
@@ -60,13 +59,13 @@ class TestWheelDetector:
             for g in atlas8[n]:
                 found = find_induced_wheel(g) is not None
                 assert found == helpers.wheel_subset_oracle(g)
-                assert found == contains_induced_wheel(g.n, g.rows)
 
     def test_whole_graph_recognizer(self):
-        assert is_wheel_graph(helpers.complete(4))
-        assert is_wheel_graph(build_short_variant("shortpyramid", (1, 2, 2)))
-        assert not is_wheel_graph(helpers.cycle(5))
-        assert not is_wheel_graph(build_short_variant("shortprism", (1, 1, 1)))
+        # the definition-level test behind wheel_subset_oracle
+        assert helpers.is_wheel_brute(helpers.complete(4))
+        assert helpers.is_wheel_brute(build_short_variant("shortpyramid", (1, 2, 2)))
+        assert not helpers.is_wheel_brute(helpers.cycle(5))
+        assert not helpers.is_wheel_brute(build_short_variant("shortprism", (1, 1, 1)))
 
 
 class TestThreePcDetector:
@@ -105,14 +104,17 @@ class TestThreePcDetector:
             k: [build_3pc(s) for s in specs_with_vertex_count(k)] for k in range(5, 8)
         }
         for n in range(5, 8):
-            tables = family_tables(n)
             for g in atlas8[n]:
-                mine = find_induced_3pc(g) is not None
-                scan = scan_contains_family(g.n, g.rows, tables)
-                brute = helpers.threepc_subset_oracle(g, spec_graphs)
-                assert mine == brute == scan, g
+                hit = find_induced_3pc(g)
+                witness = None if hit is None else hit[1]
+                assert witness == helpers.threepc_subset_oracle(g, spec_graphs), g
 
-    def test_too_large(self):
+    def test_too_large(self, monkeypatch):
+        # the cap is checked before any canonical-form table is built
+        def no_tables(*args):
+            raise AssertionError("family_tables called above the cap")
+
+        monkeypatch.setattr(detectors, "family_tables", no_tables)
         with pytest.raises(TooLarge):
             find_induced_3pc(graph_from_edges(21, []))
 

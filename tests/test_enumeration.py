@@ -5,6 +5,7 @@ import os
 import pytest
 
 import helpers
+from obstructa import enumeration
 from obstructa.canon import automorphism_count, canonical_form
 from obstructa.enumeration import (
     CensusReport,
@@ -12,7 +13,7 @@ from obstructa.enumeration import (
     enumerate_graphs,
     verify_main_theorem,
 )
-from obstructa.errors import TooLarge
+from obstructa.errors import InvalidJobCount, TooLarge
 from obstructa.graphs import is_two_connected
 
 KNOWN_CLASS_COUNTS = {0: 1, 1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044, 8: 12346}
@@ -136,3 +137,31 @@ class TestReportFormats:
         serial = census(6, jobs=1).to_json()
         parallel = census(6, jobs=2).to_json()
         assert serial == parallel
+
+    def test_parallel_generation_agrees_with_serial(self, monkeypatch):
+        # the module atlas caches generated forms, so drop n > 5 to make the
+        # jobs=2 run generate n = 6, 7 in the worker pool
+        serial = verify_main_theorem(7, jobs=1).to_json()
+        forms7 = enumeration._atlas[7]
+        monkeypatch.setattr(
+            enumeration, "_atlas", {n: f for n, f in enumeration._atlas.items() if n <= 5}
+        )
+        parallel = verify_main_theorem(7, jobs=2).to_json()
+        assert enumeration._atlas[7] == forms7
+        assert parallel.encode() == serial.encode()
+
+
+class TestJobs:
+    def test_explicit_and_env(self, monkeypatch):
+        monkeypatch.delenv("OBSTRUCTA_JOBS", raising=False)
+        assert enumeration.resolve_jobs() == 1
+        assert enumeration.resolve_jobs(3) == 3
+        monkeypatch.setenv("OBSTRUCTA_JOBS", "2")
+        assert enumeration.resolve_jobs() == 2
+        assert enumeration.resolve_jobs(1) == 1
+
+    @pytest.mark.parametrize("env", ["abc", "0", "-2", "1.5"])
+    def test_bad_env_raises(self, monkeypatch, env):
+        monkeypatch.setenv("OBSTRUCTA_JOBS", env)
+        with pytest.raises(InvalidJobCount):
+            enumeration.resolve_jobs()
