@@ -18,7 +18,6 @@ from .graphs import (
     component_masks,
     contract_edge,
     find_clique_cutset,
-    flood,
     graph_from_edges,
     induced_rows,
     is_connected_masked,
@@ -116,24 +115,13 @@ def reduce_special_edges(g: Graph) -> tuple[Graph, tuple[int, ...]]:
 # ---------------------------------------------------------------------------
 
 
-def _locally_two_connected(g: Graph, u: int, v: int) -> bool:
-    """Two internally vertex-disjoint (u,v)-paths exist (Menger for k=2)."""
-    full = g.vertex_mask
-    if flood(g.rows, 1 << u, full) >> v & 1 == 0:
-        return False
-    for w in range(g.n):
-        if w in (u, v):
-            continue
-        rest = full & ~(1 << w)
-        if flood(g.rows, 1 << u, rest) >> v & 1 == 0:
-            return False
-    return True
+def _two_disjoint_paths(
+    g: Graph, s: int, t: int
+) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Two internally disjoint (s,t)-paths, or None if there are none.
 
-
-def _two_disjoint_paths(g: Graph, s: int, t: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Extract two internally disjoint (s,t)-paths; caller guarantees existence.
-
-    Unit-capacity max flow on the vertex-split network with two augmentations.
+    Unit-capacity max flow on the vertex-split network with two augmentations;
+    by Menger, both succeed exactly when the paths exist.
     """
     inn = lambda v: 2 * v
     out = lambda v: 2 * v if v in (s, t) else 2 * v + 1
@@ -167,7 +155,8 @@ def _two_disjoint_paths(g: Graph, s: int, t: int) -> tuple[tuple[int, ...], tupl
                         prev[b] = a
                         nxt.append(b)
             frontier = nxt
-        assert sink in prev, "caller must ensure two disjoint paths exist"
+        if sink not in prev:
+            return None
         node = sink
         while prev[node] is not None:
             a = prev[node]
@@ -207,8 +196,9 @@ def is_chordless(g: Graph) -> tuple[bool, Optional[tuple[tuple[int, int], tuple[
         rows[u] &= ~(1 << v)
         rows[v] &= ~(1 << u)
         stripped = Graph(g.n, tuple(rows))
-        if _locally_two_connected(stripped, u, v):
-            p1, p2 = _two_disjoint_paths(stripped, u, v)
+        paths = _two_disjoint_paths(stripped, u, v)
+        if paths is not None:
+            p1, p2 = paths
             cycle = p1 + tuple(reversed(p2[1:-1]))
             return False, ((u, v), cycle)
     return True, None

@@ -3,20 +3,21 @@
 A wheel here is the inclusive convention used throughout this package: a rim
 cycle of any length >= 3 plus a hub with at least three rim neighbors, so K4
 is a wheel.  Containment means an induced subgraph isomorphic to some wheel,
-equivalently a hub vertex v and an induced cycle of G - v holding >= 3
-neighbors of v.
+equivalently an induced cycle of G and a vertex off it with >= 3 neighbors
+on it; the wheel search walks the induced cycles of G once.  The 3PC search
+walks vertex subsets of minimum induced degree 2 and looks each one up in
+the canonical family tables.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Optional
 
 from .canon import canonical_rows
 from .errors import TooLarge
 from .families import ThreePcSpec, family_tables, format_spec, recognize_3pc
-from .graphs import Graph, bits, flood, induced_rows, is_two_connected
+from .graphs import Graph, bits, flood, induced_rows, is_two_connected, min_degree2_subsets
 from .hamiltonicity import find_hamiltonian_cycle, is_hc_obstruction
 
 DETECT_3PC_MAX_VERTICES = 20  # ordered scan of up to 2^n vertex subsets
@@ -29,53 +30,38 @@ CLASSIFY_MAX_VERTICES = 16  # bounded by the obstruction minimality check
 
 
 def find_induced_wheel(g: Graph) -> Optional[tuple[int, tuple[int, ...]]]:
-    """First (hub, rim) with the rim an induced cycle of G - hub through >= 3
-    hub neighbors.  Hubs are tried by ascending label; rims by induced-cycle
-    DFS anchored at the least rim vertex, neighbors ascending; branches that
-    can no longer reach three hub neighbors are cut.
+    """First (hub, rim) with the rim an induced cycle of G and the hub the least
+    vertex off the rim with >= 3 rim neighbors.  Rims come from one induced-
+    cycle DFS anchored at the least rim vertex (anchors ascending), neighbors
+    ascending, orientation fixed by rim[1] < rim[-1].
     """
     n, rows = g.n, g.rows
     full = g.vertex_mask
 
-    def search(hub: int) -> Optional[tuple[int, ...]]:
-        hubrow = rows[hub]
-        if hubrow.bit_count() < 3:
-            return None
-
-        def dfs(path: list[int], cand: int, hub_hits: int) -> Optional[tuple[int, ...]]:
-            if hub_hits + (cand & hubrow).bit_count() < 3:
-                return None
-            last = path[-1]
-            anchor_bit = 1 << path[0]
-            first = len(path) == 1
-            for w in bits(rows[last] & cand):
-                wbit = 1 << w
-                if not first and rows[w] & anchor_bit:
-                    # anchor-adjacent vertices can only close the cycle
-                    if path[1] < w:
-                        hits = hub_hits + (1 if hubrow & wbit else 0)
-                        if hits >= 3:
-                            return tuple(path) + (w,)
-                    continue
-                nxt = cand & ~wbit if first else cand & ~rows[last] & ~wbit
-                got = dfs(path + [w], nxt, hub_hits + (1 if hubrow & wbit else 0))
-                if got is not None:
-                    return got
-            return None
-
-        for anchor in range(n):
-            if anchor == hub:
+    def dfs(path: list[int], on: int, cand: int) -> Optional[tuple[int, tuple[int, ...]]]:
+        last = path[-1]
+        anchor_bit = 1 << path[0]
+        first = len(path) == 1
+        for w in bits(rows[last] & cand):
+            wbit = 1 << w
+            if not first and rows[w] & anchor_bit:
+                # anchor-adjacent vertices can only close the cycle
+                if path[1] < w:
+                    rim = on | wbit
+                    for hub in bits(full & ~rim):
+                        if (rows[hub] & rim).bit_count() >= 3:
+                            return hub, tuple(path) + (w,)
                 continue
-            cand = full & ~(1 << hub) & ~((1 << (anchor + 1)) - 1)
-            got = dfs([anchor], cand, 1 if hubrow >> anchor & 1 else 0)
+            nxt = cand & ~wbit if first else cand & ~rows[last] & ~wbit
+            got = dfs(path + [w], on | wbit, nxt)
             if got is not None:
                 return got
         return None
 
-    for hub in range(n):
-        rim = search(hub)
-        if rim is not None:
-            return hub, rim
+    for anchor in range(n):
+        got = dfs([anchor], 1 << anchor, full & ~((1 << (anchor + 1)) - 1))
+        if got is not None:
+            return got
     return None
 
 
@@ -90,7 +76,7 @@ def contains_induced_wheel(n: int, rows: tuple[int, ...]) -> bool:
 
 
 def _first_in_tables(
-    n: int, rows: tuple[int, ...], tables
+    rows: tuple[int, ...], tables
 ) -> Optional[tuple[ThreePcSpec, tuple[int, ...]]]:
     """First vertex subset (size ascending, then lexicographic) whose induced
     subgraph lands in the canonical tables, with the spec it lands on.
@@ -101,23 +87,17 @@ def _first_in_tables(
     degree sequence) signature is in the table, and it induces a connected
     graph; no 3PC fails any of these.
     """
-    pows = [1 << v for v in range(n)]
-    for k in sorted(tables):
+    for subset, sub in min_degree2_subsets(rows, sorted(tables)):
+        k = len(subset)
         sigs, canons = tables[k]
-        for subset in combinations(range(n), k):
-            sub = sum(map(pows.__getitem__, subset))
-            for v in subset:
-                if (rows[v] & sub).bit_count() < 2:
-                    break
-            else:  # every induced degree is >= 2
-                degs = [(rows[v] & sub).bit_count() for v in subset]
-                if (sum(degs) // 2, tuple(sorted(degs))) not in sigs:
-                    continue
-                if flood(rows, sub & -sub, sub) != sub:
-                    continue
-                spec = canons.get(canonical_rows(k, induced_rows(rows, subset)))
-                if spec is not None:
-                    return spec, subset
+        degs = [(rows[v] & sub).bit_count() for v in subset]
+        if (sum(degs) // 2, tuple(sorted(degs))) not in sigs:
+            continue
+        if flood(rows, sub & -sub, sub) != sub:
+            continue
+        spec = canons.get(canonical_rows(k, induced_rows(rows, subset)))
+        if spec is not None:
+            return spec, subset
     return None
 
 
@@ -126,13 +106,13 @@ def find_induced_3pc(g: Graph) -> Optional[tuple[ThreePcSpec, frozenset[int]]]:
     with its canonical spec."""
     if g.n > DETECT_3PC_MAX_VERTICES:
         raise TooLarge(f"3PC detection capped at {DETECT_3PC_MAX_VERTICES} vertices")
-    hit = _first_in_tables(g.n, g.rows, family_tables(g.n))
+    hit = _first_in_tables(g.rows, family_tables(g.n))
     return None if hit is None else (hit[0], frozenset(hit[1]))
 
 
 def scan_contains_family(n: int, rows: tuple[int, ...], tables) -> bool:
     """Does some induced subgraph land in ``tables`` (see :func:`_first_in_tables`)?"""
-    return _first_in_tables(n, rows, tables) is not None
+    return _first_in_tables(rows, tables) is not None
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ side to its wheel-free members; the census still tabulates all recognized
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from typing import Callable, Iterator, Optional
 
 from .canon import canonical_rows, graph_from_canonical
@@ -110,15 +110,24 @@ def enumerate_graphs(
     n: int, predicate: Optional[Callable[[Graph], bool]] = None, jobs: Optional[int] = None
 ) -> Iterator[Graph]:
     """One canonically labeled representative per isomorphism class, in
-    sorted canonical-form order; the predicate filters after generation."""
+    sorted canonical-form order; the predicate filters after generation.
+
+    The vertex cap and the worker count are checked at call time; generation
+    starts at the first ``next()``.
+    """
     if n > ENUMERATION_MAX_VERTICES:
         raise TooLarge(f"enumeration capped at {ENUMERATION_MAX_VERTICES} vertices")
     if n < 0:
         raise TooLarge("vertex count must be nonnegative")
-    for form in _forms_for(n, resolve_jobs(jobs)):
-        g = graph_from_canonical(form)
-        if predicate is None or predicate(g):
-            yield g
+    jobs = resolve_jobs(jobs)
+
+    def representatives() -> Iterator[Graph]:
+        for form in _forms_for(n, jobs):
+            g = graph_from_canonical(form)
+            if predicate is None or predicate(g):
+                yield g
+
+    return representatives()
 
 
 # ---------------------------------------------------------------------------
@@ -139,30 +148,11 @@ class CensusRow:
     wheel_free_3pcs: int
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "all": self.all,
-            "two_connected": self.two_connected,
-            "wheel_free_2conn": self.wheel_free_2conn,
-            "three_pc_free_among_those": self.three_pc_free_among_those,
-            "hamiltonian_among_those": self.hamiltonian_among_those,
-            "hc_obstructions_wheel_free": self.hc_obstructions_wheel_free,
-            "recognized_3pcs": self.recognized_3pcs,
-            "wheel_free_3pcs": self.wheel_free_3pcs,
-        }
+        return asdict(self)
 
 
-CSV_COLUMNS = (
-    "n",
-    "all",
-    "two_connected",
-    "wheel_free_2conn",
-    "three_pc_free_among_those",
-    "hamiltonian_among_those",
-    "hc_obstructions_wheel_free",
-    "recognized_3pcs",
-    "wheel_free_3pcs",
-)
+CSV_COLUMNS = tuple(f.name for f in fields(CensusRow))
+_SURVEY_COLUMNS = CSV_COLUMNS[2:]  # counted per class; "n" and "all" are not
 
 
 @dataclass(frozen=True, slots=True)
@@ -206,7 +196,7 @@ def _survey_chunk(n: int, forms: list[bytes]) -> tuple:
     canonical forms needed for the cross-pipeline set comparisons."""
     tables = family_tables(n)
     sig_table = tables.get(n, (set(), {}))[0]
-    counts = [0] * 7  # columns after "n"/"all"
+    counts = dict.fromkeys(_SURVEY_COLUMNS, 0)
     obstruction_forms: list[bytes] = []
     wheel_free_3pc_forms: list[bytes] = []
     ham_violations: list[bytes] = []
@@ -215,29 +205,29 @@ def _survey_chunk(n: int, forms: list[bytes]) -> tuple:
         rows = g.rows
         if not is_two_connected(n, rows):
             continue
-        counts[0] += 1  # two_connected
+        counts["two_connected"] += 1
         recognized = None
         if (g.edge_count, g.degree_sequence()) in sig_table:
             recognized = recognize_3pc(g)
         if recognized is not None:
-            counts[5] += 1  # recognized_3pcs
+            counts["recognized_3pcs"] += 1
         wheel_free = find_induced_wheel(g) is None
         if not wheel_free:
             continue
-        counts[1] += 1  # wheel_free_2conn
+        counts["wheel_free_2conn"] += 1
         if recognized is not None:
-            counts[6] += 1  # wheel_free_3pcs
+            counts["wheel_free_3pcs"] += 1
             wheel_free_3pc_forms.append(form)
         ham = _cycle_search(n, rows) is not None
         has_3pc = scan_contains_family(n, rows, tables)
         if not has_3pc:
-            counts[2] += 1  # three_pc_free_among_those
+            counts["three_pc_free_among_those"] += 1
             if ham:
-                counts[3] += 1  # hamiltonian_among_those
+                counts["hamiltonian_among_those"] += 1
             else:
                 ham_violations.append(form)
         if not ham and is_hc_obstruction(g).is_obstruction:
-            counts[4] += 1  # hc_obstructions_wheel_free
+            counts["hc_obstructions_wheel_free"] += 1
             obstruction_forms.append(form)
     return counts, obstruction_forms, wheel_free_3pc_forms, ham_violations
 
@@ -255,12 +245,13 @@ def verify_main_theorem(max_n: int, jobs: Optional[int] = None) -> CensusReport:
             parts = _pool_starmap(_survey_chunk, [(n, list(forms[i::jobs])) for i in range(jobs)], jobs)
         else:
             parts = [_survey_chunk(n, list(forms))]
-        counts = [0] * 7
+        counts = dict.fromkeys(_SURVEY_COLUMNS, 0)
         obstruction_forms: set[bytes] = set()
         wheel_free_3pc_forms: set[bytes] = set()
         ham_violations: set[bytes] = set()
         for c, obs, wf3, hv in parts:
-            counts = [a + b for a, b in zip(counts, c)]
+            for column in _SURVEY_COLUMNS:
+                counts[column] += c[column]
             obstruction_forms |= set(obs)
             wheel_free_3pc_forms |= set(wf3)
             ham_violations |= set(hv)
@@ -268,19 +259,7 @@ def verify_main_theorem(max_n: int, jobs: Optional[int] = None) -> CensusReport:
         # any violator as a counterexample.
         for form in ham_violations | (obstruction_forms ^ wheel_free_3pc_forms):
             counterexamples.add(encode_graph6(graph_from_canonical(form)))
-        rows.append(
-            CensusRow(
-                n=n,
-                all=len(forms),
-                two_connected=counts[0],
-                wheel_free_2conn=counts[1],
-                three_pc_free_among_those=counts[2],
-                hamiltonian_among_those=counts[3],
-                hc_obstructions_wheel_free=counts[4],
-                recognized_3pcs=counts[5],
-                wheel_free_3pcs=counts[6],
-            )
-        )
+        rows.append(CensusRow(n=n, all=len(forms), **counts))
     return CensusReport(max_n, tuple(rows), tuple(sorted(counterexamples)))
 
 

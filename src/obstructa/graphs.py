@@ -213,6 +213,24 @@ def induced_rows(rows: tuple[int, ...], vertices: tuple[int, ...]) -> tuple[int,
     return tuple(out)
 
 
+def min_degree2_subsets(
+    rows: tuple[int, ...], sizes: Iterable[int]
+) -> Iterator[tuple[tuple[int, ...], int]]:
+    """(ascending vertex tuple, bitmask) of every vertex subset whose induced
+    subgraph has minimum degree >= 2; sizes in the order given, then
+    lexicographic within a size."""
+    n = len(rows)
+    pows = [1 << v for v in range(n)]
+    for k in sizes:
+        for subset in combinations(range(n), k):
+            sub = sum(map(pows.__getitem__, subset))
+            for v in subset:
+                if (rows[v] & sub).bit_count() < 2:
+                    break
+            else:
+                yield subset, sub
+
+
 def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, dict[int, int]]:
     """Induced subgraph plus the order-preserving old->new label mapping."""
     vs = tuple(sorted(set(vertices)))

@@ -10,7 +10,6 @@ so returned witnesses are stable across runs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Optional
 
 from .errors import TooLarge
@@ -22,6 +21,7 @@ from .graphs import (
     flood,
     induced_rows,
     is_two_connected,
+    min_degree2_subsets,
 )
 
 OBSTRUCTION_MAX_VERTICES = 16  # the minimality check enumerates 2^n subsets
@@ -153,7 +153,8 @@ def is_hc_obstruction(g: Graph) -> ObstructionVerdict:
     Minimality enumerates every proper induced subgraph on >= 3 vertices
     (size descending, then lexicographic) and demands each one is either not
     2-connected or Hamiltonian.  Subsets with an induced degree below 2 are
-    skipped early; that filter cannot hide a 2-connected witness.
+    skipped before their rows are built; that filter cannot hide a
+    2-connected witness.
     """
     if g.n > OBSTRUCTION_MAX_VERTICES:
         raise TooLarge(f"obstruction check capped at {OBSTRUCTION_MAX_VERTICES} vertices")
@@ -166,15 +167,9 @@ def is_hc_obstruction(g: Graph) -> ObstructionVerdict:
     cycle = _cycle_search(g.n, g.rows)
     if cycle is not None:
         return ObstructionVerdict(False, "Hamiltonian", Certificate("HamCycle", cycle))
-    for size in range(g.n - 1, 2, -1):
-        for subset in combinations(range(g.n), size):
-            sub = induced_rows(g.rows, subset)
-            if any(r.bit_count() < 2 for r in sub):
-                continue
-            if not is_two_connected(size, sub):
-                continue
-            if _cycle_search(size, sub) is None:
-                return ObstructionVerdict(
-                    False, "NonMinimal", Certificate("Embedding", tuple(subset))
-                )
+    for subset, _ in min_degree2_subsets(g.rows, range(g.n - 1, 2, -1)):
+        size = len(subset)
+        sub = induced_rows(g.rows, subset)
+        if is_two_connected(size, sub) and _cycle_search(size, sub) is None:
+            return ObstructionVerdict(False, "NonMinimal", Certificate("Embedding", subset))
     return ObstructionVerdict(True)

@@ -108,6 +108,54 @@ def ham_path_brute(g: Graph) -> bool:
     return False
 
 
+def is_induced_cycle(g: Graph, seq: tuple[int, ...]) -> bool:
+    """``seq`` lists, in cycle order, the distinct vertices of an induced cycle."""
+    k = len(seq)
+    if k < 3 or len(set(seq)) != k:
+        return False
+    return all(
+        g.has_edge(seq[i], seq[j]) == (j - i in (1, k - 1))
+        for i in range(k)
+        for j in range(i + 1, k)
+    )
+
+
+def _connected_brute(g: Graph, vertices: list[int]) -> bool:
+    if not vertices:
+        return True
+    seen = {vertices[0]}
+    stack = [vertices[0]]
+    while stack:
+        u = stack.pop()
+        for w in vertices:
+            if w not in seen and g.has_edge(u, w):
+                seen.add(w)
+                stack.append(w)
+    return len(seen) == len(vertices)
+
+
+def two_connected_brute(g: Graph) -> bool:
+    """At least three vertices, connected, and connected after deleting any one vertex."""
+    vs = list(range(g.n))
+    return (
+        g.n >= 3
+        and _connected_brute(g, vs)
+        and all(_connected_brute(g, [u for u in vs if u != v]) for v in vs)
+    )
+
+
+def nonminimal_oracle(g: Graph) -> Optional[tuple[int, ...]]:
+    """First proper vertex subset of size >= 3 (size descending, then
+    lexicographic) inducing a 2-connected non-Hamiltonian graph; None if
+    there is none."""
+    for size in range(g.n - 1, 2, -1):
+        for subset in itertools.combinations(range(g.n), size):
+            sub = Graph(size, induced_rows(g.rows, subset))
+            if two_connected_brute(sub) and not ham_cycle_brute(sub):
+                return subset
+    return None
+
+
 def is_wheel_brute(g: Graph) -> bool:
     """Whole-graph wheel test written directly from the definition."""
     if g.n < 4:

@@ -27,7 +27,8 @@ from obstructa.graphs import graph_from_edges, induced_subgraph
 
 class TestWheelDetector:
     def test_k4(self):
-        assert find_induced_wheel(helpers.complete(4)) == (0, (1, 2, 3))
+        # the first induced cycle is the triangle 012; 3 is its only hub
+        assert find_induced_wheel(helpers.complete(4)) == (3, (0, 1, 2))
 
     def test_triangular_prism_none(self):
         assert find_induced_wheel(build_short_variant("shortprism", (1, 1, 1))) is None
@@ -47,18 +48,29 @@ class TestWheelDetector:
             hub, rim = hit
             assert hub not in rim
             assert sum(1 for v in rim if g.has_edge(hub, v)) >= 3
-            k = len(rim)
-            for i in range(k):
-                assert g.has_edge(rim[i], rim[(i + 1) % k])
-                for j in range(i + 2, k):
-                    if (i, j) != (0, k - 1):
-                        assert not g.has_edge(rim[i], rim[j])
+            assert helpers.is_induced_cycle(g, rim)
 
     def test_completeness_vs_subset_oracle_small(self, atlas8):
         for n in range(4, 8):
             for g in atlas8[n]:
                 found = find_induced_wheel(g) is not None
                 assert found == helpers.wheel_subset_oracle(g)
+
+    def test_witness_convention_small(self, atlas8):
+        # the rim is an induced cycle read from its least vertex toward its
+        # smaller neighbor, and the hub is the least vertex off the rim with
+        # three rim neighbors
+        for n in range(4, 8):
+            for g in atlas8[n]:
+                hit = find_induced_wheel(g)
+                if hit is None:
+                    continue
+                hub, rim = hit
+                rim_mask = sum(1 << v for v in rim)
+                assert helpers.is_induced_cycle(g, rim), g
+                assert rim[0] == min(rim) and rim[1] < rim[-1], g
+                on_rim = [(g.rows[v] & rim_mask).bit_count() for v in range(n)]
+                assert hub == min(v for v in range(n) if v not in rim and on_rim[v] >= 3), g
 
     def test_whole_graph_recognizer(self):
         # the definition-level test behind wheel_subset_oracle

@@ -61,6 +61,16 @@ class TestGeneration:
         with pytest.raises(TooLarge):
             list(enumerate_graphs(11))
 
+    def test_caps_checked_at_call_time(self, monkeypatch):
+        # no next(): the checks run when the iterator is built
+        with pytest.raises(TooLarge):
+            enumerate_graphs(11)
+        with pytest.raises(TooLarge):
+            enumerate_graphs(-1)
+        monkeypatch.setenv("OBSTRUCTA_JOBS", "abc")
+        with pytest.raises(InvalidJobCount):
+            enumerate_graphs(3)
+
 
 class TestCensus:
     def test_census_small_counts(self):

@@ -22,6 +22,7 @@ from obstructa.graphs import (
     graph_from_edges,
     induced_subgraph,
     line_graph,
+    min_degree2_subsets,
     parse_edge_list,
 )
 from obstructa.canon import are_isomorphic
@@ -119,6 +120,24 @@ class TestInducedSubgraph:
         # ends 0, 1 plus two of the three internals
         sub, _ = induced_subgraph(theta, {0, 1, 2, 3})
         assert are_isomorphic(sub, helpers.cycle(4))
+
+
+    def test_min_degree2_subsets_filter_and_order(self):
+        import itertools
+
+        rng = random.Random(12)
+        for _ in range(60):
+            g = helpers.random_graph(rng, rng.randint(3, 8), rng.random())
+            sizes = list(range(g.n, 2, -1))
+            want = [
+                s
+                for k in sizes
+                for s in itertools.combinations(range(g.n), k)
+                if min(induced_subgraph(g, s)[0].degree_sequence()) >= 2
+            ]
+            got = list(min_degree2_subsets(g.rows, sizes))
+            assert [s for s, _ in got] == want
+            assert all(mask == sum(1 << v for v in s) for s, mask in got)
 
 
 class TestConnectivity:
