@@ -1,9 +1,11 @@
 """Isomorph-free exhaustive generation and the desk-scale theorem census.
 
 Generation is canonical augmentation with a seen-set: every representative
-on n-1 vertices is extended by every neighborhood bitmask of a new vertex,
-and a child is kept exactly when its canonical form is unseen.  Output
-order is the sorted canonical forms, so two runs are byte-identical.
+on n-1 vertices is extended by exactly those neighborhood bitmasks of a new
+vertex under which the new vertex has maximum degree in the child (McKay,
+"Isomorph-free exhaustive generation", 1998, with degree as the vertex
+invariant), and a child is kept exactly when its canonical form is unseen.
+Output order is the sorted canonical forms, so two runs are byte-identical.
 
 The census classifies every representative and cross-checks, per vertex
 count, the two directions of the main characterization:
@@ -23,6 +25,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import asdict, dataclass, fields, replace
+from itertools import combinations
 from typing import Callable, Iterator, Optional
 
 from .canon import canonical_rows, graph_from_canonical
@@ -70,22 +73,34 @@ def _pool_starmap(fn: Callable, args: list[tuple], jobs: int) -> list:
 
 
 def _child_forms(n_parent: int, parents: list[tuple[int, ...]]) -> set[bytes]:
-    """Canonical forms of all one-vertex extensions of the given parents."""
+    """Canonical forms of the one-vertex extensions of the given parents in
+    which the new vertex has maximum degree.
+
+    For each degree ``d`` from the parent's maximum degree to ``n_parent``,
+    the new vertex is joined to every ``d``-subset of the vertices of degree
+    below ``d``: those end at degree at most ``d`` and the rest keep theirs,
+    so no vertex beats the new one.  Nothing is lost: every graph G has a
+    vertex v of maximum degree, G - v is isomorphic to some parent P, and
+    mapping v's neighbourhood through that isomorphism gives a mask whose
+    child is isomorphic to G.  The new vertex of that child has degree
+    Δ(G), so this loop produces it.
+    """
     seen: set[bytes] = set()
     newbit = n_parent
     n = n_parent + 1
     width = (n + 7) // 8
     head = bytes([n])
     for rows in parents:
-        for mask in range(1 << n_parent):
-            child = [0] * n
-            m = mask
-            for i in range(n_parent):
-                child[i] = rows[i] | ((m >> i & 1) << newbit)
-            child[newbit] = mask
-            crows = canonical_rows(n, tuple(child))
-            form = head + b"".join(r.to_bytes(width, "little") for r in crows)
-            seen.add(form)
+        deg = [r.bit_count() for r in rows]
+        for d in range(max(deg, default=0), n):
+            below = [1 << u for u in range(n_parent) if deg[u] < d]
+            for neighbours in combinations(below, d):
+                mask = sum(neighbours)
+                child = [r | (mask >> i & 1) << newbit for i, r in enumerate(rows)]
+                child.append(mask)
+                crows = canonical_rows(n, tuple(child))
+                form = head + b"".join(r.to_bytes(width, "little") for r in crows)
+                seen.add(form)
     return seen
 
 

@@ -62,16 +62,26 @@ def report(criterion: int, message: str) -> None:
 
 
 @pytest.fixture(scope="session")
-def twoconn(atlas):
-    """n -> [(graph, wheel_free)] over all 2-connected representatives."""
+def connected(atlas):
+    """n -> [(graph, wheel_free)] over all connected representatives, so the
+    wheel test runs once per class for criterion 6 and the 2-connected facts."""
     out = {}
-    for n in range(3, ATLAS_MAX_N + 1):
-        rows = []
-        for g in atlas[n]:
-            if is_two_connected(g):
-                rows.append((g, not contains_induced_wheel(g.n, g.rows)))
-        out[n] = rows
+    for n in range(1, ATLAS_MAX_N + 1):
+        out[n] = [
+            (g, not contains_induced_wheel(g.n, g.rows))
+            for g in atlas[n]
+            if is_connected_masked(g.rows, g.vertex_mask)
+        ]
     return out
+
+
+@pytest.fixture(scope="session")
+def twoconn(connected):
+    """n -> [(graph, wheel_free)] over all 2-connected representatives."""
+    return {
+        n: [(g, wheel_free) for g, wheel_free in connected[n] if is_two_connected(g)]
+        for n in range(3, ATLAS_MAX_N + 1)
+    }
 
 
 @pytest.fixture(scope="session")
@@ -200,16 +210,14 @@ def test_criterion_5_chordless_dichotomy(twoconn, atlas):
     report(5, f"n <= {ATLAS_MAX_N}: dichotomy holds on all {checked} 2-connected chordless graphs")
 
 
-def test_criterion_6_only_prism_dichotomy(atlas):
+def test_criterion_6_only_prism_dichotomy(connected):
     checked = 0
     line_graph_branch = 0
     for n in range(1, ATLAS_MAX_N + 1):
         theta_tables = family_tables(n, "theta", False)
         pyramid_tables = family_tables(n, "pyramid", False)
-        for g in atlas[n]:
-            if not is_connected_masked(g.rows, g.vertex_mask):
-                continue
-            if contains_induced_wheel(g.n, g.rows):
+        for g, wheel_free in connected[n]:
+            if not wheel_free:
                 continue
             if scan_contains_family(g.n, g.rows, theta_tables):
                 continue

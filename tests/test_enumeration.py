@@ -2,6 +2,7 @@ import json
 import math
 import os
 
+import networkx as nx
 import pytest
 
 import helpers
@@ -14,7 +15,7 @@ from obstructa.enumeration import (
     verify_main_theorem,
 )
 from obstructa.errors import InvalidJobCount, TooLarge
-from obstructa.graphs import is_two_connected
+from obstructa.graphs import graph_from_edges, is_two_connected
 
 KNOWN_CLASS_COUNTS = {0: 1, 1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044, 8: 12346}
 KNOWN_TWO_CONNECTED = {1: 0, 2: 0, 3: 1, 4: 3, 5: 10, 6: 56, 7: 468, 8: 7123}
@@ -60,6 +61,43 @@ class TestGeneration:
     def test_too_large(self):
         with pytest.raises(TooLarge):
             list(enumerate_graphs(11))
+
+    def test_labelings_per_n(self, monkeypatch):
+        # only children whose new vertex has maximum degree are labeled: 3,132
+        # at n <= 7, where all 2^(n-1) extensions of every parent made 11,291
+        calls = [0]
+        canonical_rows = enumeration.canonical_rows
+
+        def counting(n, rows):
+            calls[0] += 1
+            return canonical_rows(n, rows)
+
+        monkeypatch.setattr(enumeration, "canonical_rows", counting)
+        monkeypatch.setattr(enumeration, "_atlas", {0: (bytes([0]),)})
+        per_n = []
+        for n in range(1, 8):
+            before = calls[0]
+            assert sum(1 for _ in enumerate_graphs(n, jobs=1)) == KNOWN_CLASS_COUNTS[n]
+            per_n.append(calls[0] - before)
+        assert per_n == [1, 2, 5, 16, 70, 348, 2690]
+
+    def test_matches_networkx_graph_atlas(self):
+        # independent completeness oracle: the networkx atlas of all 1,253
+        # graphs on at most 7 vertices
+        by_n = {}
+        for h in nx.graph_atlas_g():
+            by_n.setdefault(h.number_of_nodes(), []).append(h)
+        assert sum(len(hs) for hs in by_n.values()) == 1253
+        for n in range(0, 8):
+            ours = list(enumerate_graphs(n))
+            assert len(by_n[n]) == len(ours), n
+            # degree sequences share no code with canonical labeling
+            theirs_degrees = sorted(tuple(sorted(d for _, d in h.degree())) for h in by_n[n])
+            ours_degrees = sorted(tuple(sorted(r.bit_count() for r in g.rows)) for g in ours)
+            assert theirs_degrees == ours_degrees, n
+            forms = {canonical_form(g) for g in ours}
+            for h in by_n[n]:
+                assert canonical_form(graph_from_edges(n, h.edges())) in forms, n
 
     def test_caps_checked_at_call_time(self, monkeypatch):
         # no next(): the checks run when the iterator is built
