@@ -6,14 +6,21 @@ isomorphism-invariant search tree: refine the unit partition to an equitable
 one, then repeatedly individualize vertices of the first non-singleton cell.
 Equal forms therefore mean isomorphic graphs and vice versa.
 
-Two exactness-preserving prunings keep the tree small:
+One exactness-preserving pruning keeps the tree small, and the same search
+measures the automorphism group:
 
 * vertices of the target cell that are twins (swapping them is an
   automorphism) produce identical subtrees, so only one representative per
   twin class is expanded, weighted by the class size;
-* the same search counts the leaves realizing the canonical form, which is
+* the search counts the leaves realizing the canonical form, which is
   exactly the automorphism group order (used by the census tests as an
-  independent completeness oracle).
+  independent completeness oracle);
+* the search also collects generators of the automorphism group: every
+  leaf whose relabeled rows equal the best so far maps each vertex to the
+  vertex holding its position in the best leaf, and every twin merge is the
+  transposition of the two twins (McKay & Piperno, "Practical graph
+  isomorphism II", 2014).  Generation uses them to extend each parent once
+  per automorphism orbit.
 """
 
 from __future__ import annotations
@@ -56,12 +63,16 @@ def _refine(n: int, rows: tuple[int, ...], cells: list[int]) -> list[int]:
         cells = out
 
 
-def _twin_classes(rows: tuple[int, ...], members: list[int]) -> list[tuple[int, int]]:
+def _twin_classes(
+    rows: tuple[int, ...], members: list[int], merges: set[tuple[int, int]]
+) -> list[tuple[int, int]]:
     """Group cell members u~v when the transposition (u v) is an automorphism.
 
-    Returns (representative, class size) pairs, representatives ascending.
-    u~v holds iff the rows agree outside {u, v}: identical rows (non-adjacent
-    twins) or rows differing exactly in the two bits u, v (adjacent twins).
+    Returns (representative, class size) pairs, representatives ascending,
+    and adds to ``merges`` each pair (u, v) whose transposition joined two
+    classes.  u~v holds iff the rows agree outside {u, v}: identical rows
+    (non-adjacent twins) or rows differing exactly in the two bits u, v
+    (adjacent twins).
     """
     parent = {v: v for v in members}
 
@@ -79,6 +90,7 @@ def _twin_classes(rows: tuple[int, ...], members: list[int]) -> list[tuple[int, 
                 a, b = find(u), find(v)
                 if a != b:
                     parent[max(a, b)] = min(a, b)
+                    merges.add((u, v))
     sizes: dict[int, int] = {}
     for v in members:
         r = find(v)
@@ -86,15 +98,24 @@ def _twin_classes(rows: tuple[int, ...], members: list[int]) -> list[tuple[int, 
     return sorted(sizes.items())
 
 
-def _canonical_search(n: int, rows: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
-    """Return (canonical rows, automorphism count)."""
+def _canonical_search(
+    n: int, rows: tuple[int, ...]
+) -> tuple[tuple[int, ...], int, list[tuple[int, ...]]]:
+    """Return (canonical rows, automorphism count, automorphism generators).
+
+    Each generator is a permutation tuple ``p`` with ``v -> p[v]``; together
+    they generate the automorphism group.
+    """
     if n == 0:
-        return (), 1
+        return (), 1, []
     best: tuple[int, ...] | None = None
+    best_cells: list[int] = []
     count = 0
+    gens: list[tuple[int, ...]] = []
+    merges: set[tuple[int, int]] = set()
 
     def leaf(cells: list[int], mult: int) -> None:
-        nonlocal best, count
+        nonlocal best, best_cells, count
         pos = [0] * n
         for i, c in enumerate(cells):
             pos[c.bit_length() - 1] = i
@@ -110,9 +131,14 @@ def _canonical_search(n: int, rows: tuple[int, ...]) -> tuple[tuple[int, ...], i
         key = tuple(new)
         if best is None or key < best:
             best = key
+            best_cells = cells
             count = mult
         elif key == best:
             count += mult
+            perm = [0] * n
+            for c, b in zip(cells, best_cells):
+                perm[c.bit_length() - 1] = b.bit_length() - 1
+            gens.append(tuple(perm))
 
     def rec(cells: list[int], mult: int) -> None:
         for idx, cm in enumerate(cells):
@@ -121,13 +147,17 @@ def _canonical_search(n: int, rows: tuple[int, ...]) -> tuple[tuple[int, ...], i
         else:
             leaf(cells, mult)
             return
-        for rep, size in _twin_classes(rows, list(bits(cm))):
+        for rep, size in _twin_classes(rows, list(bits(cm)), merges):
             nxt = cells[:idx] + [1 << rep, cm & ~(1 << rep)] + cells[idx + 1 :]
             rec(_refine(n, rows, nxt), mult * size)
 
     rec(_refine(n, rows, [(1 << n) - 1]), 1)
     assert best is not None
-    return best, count
+    for u, v in sorted(merges):
+        perm = list(range(n))
+        perm[u], perm[v] = v, u
+        gens.append(tuple(perm))
+    return best, count, gens
 
 
 def canonical_rows(n: int, rows: tuple[int, ...]) -> tuple[int, ...]:

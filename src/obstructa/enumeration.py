@@ -1,10 +1,17 @@
 """Isomorph-free exhaustive generation and the desk-scale theorem census.
 
-Generation is canonical augmentation with a seen-set: every representative
-on n-1 vertices is extended by exactly those neighborhood bitmasks of a new
-vertex under which the new vertex has maximum degree in the child (McKay,
-"Isomorph-free exhaustive generation", 1998, with degree as the vertex
-invariant), and a child is kept exactly when its canonical form is unseen.
+Generation is canonical augmentation with a seen-set (McKay, "Isomorph-free
+exhaustive generation", 1998): every representative on n-1 vertices is
+extended by one neighborhood bitmask of a new vertex per orbit of the
+parent's automorphism group, and only where the new vertex maximizes the
+vertex invariant (degree, sorted neighbour degrees) in the child; a child is
+kept exactly when its canonical form is unseen.  Nothing is lost, for two
+reasons:
+
+* masks in one orbit give isomorphic children, so one per orbit suffices;
+* every graph has a vertex maximizing the invariant, and deleting it leaves
+  a graph isomorphic to some parent.
+
 Output order is the sorted canonical forms, so two runs are byte-identical.
 
 The census classifies every representative and cross-checks, per vertex
@@ -28,10 +35,10 @@ from dataclasses import asdict, dataclass, fields, replace
 from itertools import combinations
 from typing import Callable, Iterator, Optional
 
-from .canon import canonical_rows, graph_from_canonical
+from .canon import _canonical_search, canonical_rows, graph_from_canonical
 from .errors import InvalidJobCount, TooLarge
 from .families import family_tables, recognize_3pc
-from .graphs import Graph, encode_graph6, is_two_connected
+from .graphs import Graph, bits, encode_graph6, is_two_connected
 from .hamiltonicity import _cycle_search, is_hc_obstruction
 from .detectors import find_induced_wheel, scan_contains_family
 
@@ -73,17 +80,27 @@ def _pool_starmap(fn: Callable, args: list[tuple], jobs: int) -> list:
 
 
 def _child_forms(n_parent: int, parents: list[tuple[int, ...]]) -> set[bytes]:
-    """Canonical forms of the one-vertex extensions of the given parents in
-    which the new vertex has maximum degree.
+    """Canonical forms of the one-vertex extensions of the given parents, one
+    per automorphism orbit of masks, in which the new vertex maximizes
+    (degree, sorted neighbour degrees).
 
     For each degree ``d`` from the parent's maximum degree to ``n_parent``,
-    the new vertex is joined to every ``d``-subset of the vertices of degree
-    below ``d``: those end at degree at most ``d`` and the rest keep theirs,
-    so no vertex beats the new one.  Nothing is lost: every graph G has a
-    vertex v of maximum degree, G - v is isomorphic to some parent P, and
-    mapping v's neighbourhood through that isomorphism gives a mask whose
-    child is isomorphic to G.  The new vertex of that child has degree
-    Δ(G), so this loop produces it.
+    the walk takes every ``d``-subset of the vertices of degree below ``d``:
+    those end at degree at most ``d`` and the rest keep theirs, so no vertex
+    has a higher degree than the new one.  A mask is skipped when it lies in
+    the orbit of an earlier labeled mask under the parent's automorphism
+    generators, or when a vertex of degree ``d`` in its child has a
+    lexicographically greater sorted neighbour-degree list than the new
+    vertex.  Both skips treat all masks of one orbit alike: an automorphism
+    of the parent, extended to fix the new vertex, is an isomorphism between
+    their children.
+
+    Nothing is lost.  Every graph G has a vertex v maximizing the
+    invariant, G - v is isomorphic to some parent P, and mapping v's
+    neighbourhood through that isomorphism gives a mask whose child is
+    isomorphic to G with v as the new vertex; so that mask passes the
+    degree and neighbour-degree rules, and the first mask of its orbit is
+    labeled and gives a child isomorphic to it.
     """
     seen: set[bytes] = set()
     newbit = n_parent
@@ -92,10 +109,37 @@ def _child_forms(n_parent: int, parents: list[tuple[int, ...]]) -> set[bytes]:
     head = bytes([n])
     for rows in parents:
         deg = [r.bit_count() for r in rows]
+        adj = [list(bits(r)) for r in rows]
+        gens = _canonical_search(n_parent, rows)[2]
+        done: set[tuple[int, ...]] = set()
         for d in range(max(deg, default=0), n):
-            below = [1 << u for u in range(n_parent) if deg[u] < d]
+            below = [u for u in range(n_parent) if deg[u] < d]
+            tied = [w for w in range(n_parent) if deg[w] == d]
             for neighbours in combinations(below, d):
-                mask = sum(neighbours)
+                if neighbours in done:
+                    continue
+                cdeg = deg[:]
+                for u in neighbours:
+                    cdeg[u] += 1
+                mine = sorted([cdeg[u] for u in neighbours])
+                # the other vertices of degree d in the child: those of the
+                # parent's degree d, and the mask's vertices of degree d - 1,
+                # which also neighbour the new vertex
+                if any(sorted([cdeg[x] for x in adj[w]]) > mine for w in tied) or any(
+                    sorted([cdeg[x] for x in adj[u]] + [d]) > mine
+                    for u in neighbours
+                    if cdeg[u] == d
+                ):
+                    continue
+                orbit = [neighbours]
+                done.add(neighbours)
+                for m in orbit:
+                    for p in gens:
+                        image = tuple(sorted([p[u] for u in m]))
+                        if image not in done:
+                            done.add(image)
+                            orbit.append(image)
+                mask = sum(1 << u for u in neighbours)
                 child = [r | (mask >> i & 1) << newbit for i, r in enumerate(rows)]
                 child.append(mask)
                 crows = canonical_rows(n, tuple(child))

@@ -173,11 +173,20 @@ def is_wheel_brute(g: Graph) -> bool:
 
 
 def wheel_subset_oracle(g: Graph) -> bool:
-    """Induced wheel containment by testing every subset against the definition."""
-    for size in range(4, g.n + 1):
-        for subset in itertools.combinations(range(g.n), size):
-            if is_wheel_brute(Graph(size, induced_rows(g.rows, subset))):
-                return True
+    """Induced wheel containment from the definition, over vertex bitmasks:
+    some set R of at least three vertices induces a cycle (every induced
+    degree is 2 and R is connected) and some vertex outside R has at least
+    three neighbours in R."""
+    rows = g.rows
+    full = (1 << g.n) - 1
+    for rim in range(1, full + 1):
+        if (
+            rim.bit_count() >= 3
+            and all((rows[v] & rim).bit_count() == 2 for v in bits(rim))
+            and flood(rows, rim & -rim, rim) == rim
+            and any((rows[h] & rim).bit_count() >= 3 for h in bits(full & ~rim))
+        ):
+            return True
     return False
 
 

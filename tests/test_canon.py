@@ -3,6 +3,7 @@ import random
 
 import helpers
 from obstructa.canon import (
+    _canonical_search,
     are_isomorphic,
     automorphism_count,
     canonical_form,
@@ -76,3 +77,28 @@ def test_automorphism_counts_known():
     assert automorphism_count(helpers.complete_bipartite(3, 3)) == 72
     assert automorphism_count(helpers.petersen()) == 120
     assert automorphism_count(helpers.claw()) == 6
+
+
+def test_search_generators_generate_the_automorphism_group(atlas8):
+    # every generator maps rows onto rows, and the group they generate,
+    # closed by breadth-first search over permutation tuples, has order
+    # automorphism_count(g)
+    for n in range(1, min(7, max(atlas8)) + 1):
+        for g in atlas8[n]:
+            gens = _canonical_search(g.n, g.rows)[2]
+            edges = set(g.edges())
+            for p in gens:
+                assert sorted(p) == list(range(n))
+                assert {tuple(sorted((p[u], p[v]))) for u, v in edges} == edges
+            group = {tuple(range(n))}
+            frontier = list(group)
+            while frontier:
+                nxt = []
+                for q in frontier:
+                    for p in gens:
+                        r = tuple(p[q[v]] for v in range(n))
+                        if r not in group:
+                            group.add(r)
+                            nxt.append(r)
+                frontier = nxt
+            assert len(group) == automorphism_count(g), g

@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 
@@ -22,7 +23,7 @@ from obstructa.families import (
     format_spec,
     recognize_3pc,
 )
-from obstructa.graphs import graph_from_edges, induced_subgraph
+from obstructa.graphs import Graph, graph_from_edges, induced_rows, induced_subgraph
 
 
 class TestWheelDetector:
@@ -55,6 +56,17 @@ class TestWheelDetector:
             for g in atlas8[n]:
                 found = find_induced_wheel(g) is not None
                 assert found == helpers.wheel_subset_oracle(g)
+
+    def test_subset_oracle_vs_per_subset_definition_small(self, atlas8):
+        # the bitmask oracle against is_wheel_brute on every induced subgraph
+        for n in range(1, min(6, max(atlas8)) + 1):
+            for g in atlas8[n]:
+                per_subset = any(
+                    helpers.is_wheel_brute(Graph(size, induced_rows(g.rows, subset)))
+                    for size in range(4, n + 1)
+                    for subset in itertools.combinations(range(n), size)
+                )
+                assert helpers.wheel_subset_oracle(g) == per_subset, g
 
     def test_witness_convention_small(self, atlas8):
         # the rim is an induced cycle read from its least vertex toward its

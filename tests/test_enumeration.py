@@ -63,8 +63,12 @@ class TestGeneration:
             list(enumerate_graphs(11))
 
     def test_labelings_per_n(self, monkeypatch):
-        # only children whose new vertex has maximum degree are labeled: 3,132
-        # at n <= 7, where all 2^(n-1) extensions of every parent made 11,291
+        # one child per automorphism orbit of masks is labeled, and only where
+        # the new vertex maximizes (degree, sorted neighbour degrees): 1,300 at
+        # n <= 7, where the degree rule alone made 3,132 and all 2^(n-1)
+        # extensions of every parent 11,291.  The one search per parent that
+        # yields its automorphism generators calls _canonical_search directly
+        # and is not counted here.
         calls = [0]
         canonical_rows = enumeration.canonical_rows
 
@@ -79,7 +83,7 @@ class TestGeneration:
             before = calls[0]
             assert sum(1 for _ in enumerate_graphs(n, jobs=1)) == KNOWN_CLASS_COUNTS[n]
             per_n.append(calls[0] - before)
-        assert per_n == [1, 2, 5, 16, 70, 348, 2690]
+        assert per_n == [1, 2, 4, 11, 34, 158, 1090]
 
     def test_matches_networkx_graph_atlas(self):
         # independent completeness oracle: the networkx atlas of all 1,253
