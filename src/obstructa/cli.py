@@ -80,6 +80,8 @@ def _load_graph(text: Optional[str], input_file: Optional[str]) -> Graph:
             _fail(EXIT_BAD_SPEC, str(exc))
         except VertexOutOfRange as exc:
             _fail(EXIT_BAD_SPEC, str(exc))
+        except CapacityExceeded as exc:
+            _fail(EXIT_TOO_LARGE, str(exc))
     try:
         return decode_graph6(text)
     except MalformedGraph6 as exc:
@@ -125,6 +127,8 @@ def gen(spec: str) -> None:
         _fail(EXIT_PARSE, str(exc))
     except (_SPEC_ERRORS + (VertexOutOfRange,)) as exc:
         _fail(EXIT_BAD_SPEC, str(exc))
+    except CapacityExceeded as exc:
+        _fail(EXIT_TOO_LARGE, str(exc))
     try:
         click.echo(encode_graph6(g))
     except CapacityExceeded as exc:

@@ -20,7 +20,7 @@ from .families import ThreePcSpec, family_tables, format_spec, recognize_3pc
 from .graphs import Graph, bits, flood, induced_rows, is_two_connected, min_degree2_subsets
 from .hamiltonicity import find_hamiltonian_cycle, is_hc_obstruction
 
-DETECT_3PC_MAX_VERTICES = 20  # ordered scan of up to 2^n vertex subsets
+DETECT_3PC_MAX_VERTICES = 20  # the subset walk is pruned, but up to 2^n on dense graphs
 CLASSIFY_MAX_VERTICES = 16  # bounded by the obstruction minimality check
 
 
@@ -82,10 +82,12 @@ def _first_in_tables(
     subgraph lands in the canonical tables, with the spec it lands on.
 
     ``tables`` maps subgraph order k to (degree-signature set, canon dict) as
-    produced by :func:`obstructa.families.family_tables`.  A subset is
-    canonicalized only if every induced degree is >= 2, its (edge count,
-    degree sequence) signature is in the table, and it induces a connected
-    graph; no 3PC fails any of these.
+    produced by :func:`obstructa.families.family_tables`.  Subsets come from
+    :func:`obstructa.graphs.min_degree2_subsets`, which never visits a prefix
+    that cannot reach induced degree 2, so sparse graphs skip most of the
+    2^n subsets and dense ones do not.  A subset is canonicalized only if its
+    (edge count, degree sequence) signature is in the table and it induces a
+    connected graph; no 3PC fails any of these.
     """
     for subset, sub in min_degree2_subsets(rows, sorted(tables)):
         k = len(subset)

@@ -19,6 +19,7 @@ from typing import Iterator, Optional, Union
 
 from .canon import canonical_rows
 from .errors import (
+    CapacityExceeded,
     InvalidLengths,
     ShortVariant,
     SpecSyntaxError,
@@ -26,7 +27,7 @@ from .errors import (
     TooManyThetaChords,
     VertexOutOfRange,
 )
-from .graphs import Graph, graph_from_edges
+from .graphs import MAX_VERTICES, Graph, graph_from_edges
 
 THETA = "theta"
 PYRAMID = "pyramid"
@@ -148,6 +149,9 @@ def _assemble(kind: str, lengths: tuple[int, int, int], chords: frozenset[int]) 
         ends = [(0, 3), (1, 4), (2, 5)]
         nxt = 6
         edges = [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)]
+    # checked before the edge list is built, which huge lengths would exhaust
+    if nxt + sum(lengths) - 3 > MAX_VERTICES:
+        raise CapacityExceeded(f"{kind} with lengths {lengths} exceeds {MAX_VERTICES} vertices")
     for i, length in enumerate(lengths):
         a, b = ends[i]
         prev = a
@@ -187,6 +191,8 @@ def build_short_variant(kind: str, lengths) -> Graph:
 def build_wheel(spec: WheelSpec) -> Graph:
     """Rim 0..cycle_len-1 in order; the hub is the last label."""
     c = spec.cycle_len
+    if c + 1 > MAX_VERTICES:
+        raise CapacityExceeded(f"a wheel with rim {c} exceeds {MAX_VERTICES} vertices")
     edges = [(i, (i + 1) % c) for i in range(c)]
     edges += [(p, c) for p in sorted(spec.hub_neighbors)]
     return graph_from_edges(c + 1, edges)

@@ -218,17 +218,91 @@ def min_degree2_subsets(
 ) -> Iterator[tuple[tuple[int, ...], int]]:
     """(ascending vertex tuple, bitmask) of every vertex subset whose induced
     subgraph has minimum degree >= 2; sizes in the order given, then
-    lexicographic within a size."""
+    lexicographic within a size.
+
+    Each size is a depth-first walk that picks vertices in ascending order
+    and visits only prefixes that can still be completed: every chosen vertex
+    keeps at least two neighbours among the chosen vertices and the
+    candidates above the last pick.  That test only gets harder as the next
+    pick rises, so a chosen vertex that fails it caps the whole branch.  The
+    last vertex of a subset comes from one bitmask per second-to-last pick,
+    and a prefix with no room to skip a vertex is completed in one step.
+    Sparse graphs thus skip almost all of the 2^n subsets; dense graphs,
+    where almost every subset qualifies, remain exponential.
+    """
     n = len(rows)
-    pows = [1 << v for v in range(n)]
+    # ge[v]: vertices >= v; top1/top2: highest and second-highest neighbour
+    # (-1 if none); up1/up2: vertices with >= 1 / >= 2 neighbours above them
+    ge = [((1 << n) - 1) >> v << v for v in range(n + 1)]
+    top1 = [r.bit_length() - 1 for r in rows]
+    top2 = [(r ^ 1 << t).bit_length() - 1 if r else -1 for r, t in zip(rows, top1)]
+    up1 = up2 = 0
+    for v in range(n):
+        if top1[v] > v:
+            up1 |= 1 << v
+        if top2[v] > v:
+            up2 |= 1 << v
     for k in sizes:
-        for subset in combinations(range(n), k):
-            sub = sum(map(pows.__getitem__, subset))
-            for v in subset:
-                if (rows[v] & sub).bit_count() < 2:
-                    break
-            else:
-                yield subset, sub
+        if k == 0:
+            yield (), 0  # the empty subset meets the degree bound vacuously
+        if not 3 <= k <= n:
+            continue
+        # frames: (prefix, its mask, vertices with >= 1 / >= 2 neighbours in
+        # it, first candidate); children are pushed highest first
+        stack = [((), 0, 0, 0, 0)]
+        while stack:
+            prefix, sub, ones, twos, start = stack.pop()
+            d = len(prefix)
+            hi = n - k + d  # the highest next pick that leaves room for the rest
+            if start == hi:
+                # no room to skip a vertex: the only completion takes the rest
+                for v in range(start, n):
+                    twos |= ones & rows[v]
+                    ones |= rows[v]
+                sub |= ge[start]
+                if not sub & ~twos:
+                    yield prefix + tuple(range(start, n)), sub
+                continue
+            short = sub & ~twos  # chosen vertices with < 2 chosen neighbours
+            while short:
+                u = short & -short
+                short ^= u
+                u = u.bit_length() - 1
+                # neighbours still needed must lie at or above the next pick
+                cap = top1[u] if ones >> u & 1 else top2[u]
+                if cap < hi:
+                    hi = cap
+            # the next pick needs two neighbours among the chosen vertices and
+            # those above it
+            cand = (twos | ones & up1 | up2) & ge[start] & ~ge[hi + 1] if hi >= start else 0
+            if d < k - 2:
+                while cand:
+                    w = cand.bit_length() - 1
+                    cand ^= 1 << w
+                    r = rows[w]
+                    stack.append((prefix + (w,), sub | 1 << w, ones | r, twos | ones & r, w + 1))
+                continue
+            # the last two picks: w, then every x above it that gives each
+            # short vertex its missing neighbour and has two chosen neighbours
+            while cand:
+                w = (cand & -cand).bit_length() - 1
+                cand &= cand - 1
+                r = rows[w]
+                pick = sub | 1 << w
+                ones_w = ones | r
+                twos_w = twos | ones & r
+                short = pick & ~twos_w
+                if short & ~ones_w:
+                    continue
+                last = twos_w & ge[w + 1]
+                while short and last:
+                    u = short & -short
+                    last &= rows[u.bit_length() - 1]
+                    short ^= u
+                while last:
+                    x = last & -last
+                    yield prefix + (w, x.bit_length() - 1), pick | x
+                    last ^= x
 
 
 def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, dict[int, int]]:

@@ -24,7 +24,7 @@ from .graphs import (
     min_degree2_subsets,
 )
 
-OBSTRUCTION_MAX_VERTICES = 16  # the minimality check enumerates 2^n subsets
+OBSTRUCTION_MAX_VERTICES = 16  # the minimality walk is pruned, but up to 2^n on dense graphs
 
 
 @dataclass(frozen=True, slots=True)
@@ -150,11 +150,12 @@ class ObstructionVerdict:
 def is_hc_obstruction(g: Graph) -> ObstructionVerdict:
     """Decide: 2-connected, non-Hamiltonian, and minimal with respect to that.
 
-    Minimality enumerates every proper induced subgraph on >= 3 vertices
-    (size descending, then lexicographic) and demands each one is either not
-    2-connected or Hamiltonian.  Subsets with an induced degree below 2 are
-    skipped before their rows are built; that filter cannot hide a
-    2-connected witness.
+    Minimality checks every proper induced subgraph on >= 3 vertices (size
+    descending, then lexicographic) and demands each one is either not
+    2-connected or Hamiltonian.  Only subsets of minimum induced degree 2
+    can be 2-connected, so the walk of :func:`obstructa.graphs.min_degree2_subsets`
+    visits just those, pruning every prefix that cannot reach the bound;
+    dense graphs still cost up to 2^n subsets.
     """
     if g.n > OBSTRUCTION_MAX_VERTICES:
         raise TooLarge(f"obstruction check capped at {OBSTRUCTION_MAX_VERTICES} vertices")

@@ -144,6 +144,22 @@ def two_connected_brute(g: Graph) -> bool:
     )
 
 
+def min_degree2_subsets_oracle(rows: tuple[int, ...], sizes):
+    """(ascending vertex tuple, bitmask) of every vertex subset whose induced
+    subgraph has minimum degree >= 2; sizes in the order given, then
+    lexicographic within a size.  Every combination is built, then filtered."""
+    n = len(rows)
+    pows = [1 << v for v in range(n)]
+    for k in sizes:
+        for subset in itertools.combinations(range(n), k):
+            sub = sum(map(pows.__getitem__, subset))
+            for v in subset:
+                if (rows[v] & sub).bit_count() < 2:
+                    break
+            else:
+                yield subset, sub
+
+
 def nonminimal_oracle(g: Graph) -> Optional[tuple[int, ...]]:
     """First proper vertex subset of size >= 3 (size descending, then
     lexicographic) inducing a 2-connected non-Hamiltonian graph; None if

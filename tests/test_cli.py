@@ -35,6 +35,14 @@ class TestCheck:
         g = encode_graph6(helpers.cycle(17))
         assert run("check", g).exit_code == 3
 
+    def test_spec_beyond_capacity_exit_3(self):
+        # caught before the edge list is built, so a huge length is cheap
+        for spec in ("theta:2,2,70", "wheel:99999999999@0,1,2", "shortprism:1,1,10000000000"):
+            for command in ("check", "gen"):
+                res = run(command, spec)
+                assert res.exit_code == 3, (command, spec, res.output)
+                assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1
+
     def test_stdin_batch(self):
         lines = "C~\nA_\n"
         res = run("check", input=lines)

@@ -125,13 +125,23 @@ class TestThreePcDetector:
         from obstructa.families import specs_with_vertex_count
 
         spec_graphs = {
-            k: [build_3pc(s) for s in specs_with_vertex_count(k)] for k in range(5, 8)
+            k: [build_3pc(s) for s in specs_with_vertex_count(k)] for k in range(5, 11)
         }
-        for n in range(5, 8):
-            for g in atlas8[n]:
-                hit = find_induced_3pc(g)
-                witness = None if hit is None else hit[1]
-                assert witness == helpers.threepc_subset_oracle(g, spec_graphs), g
+        graphs = [g for n in range(5, 8) for g in atlas8[n]]
+        # sparse inputs up to 10 vertices, where the subset walk prunes most:
+        # 3PCs, and the short prisms and pyramids that are not 3PCs
+        graphs += [h for k in range(5, 11) for h in spec_graphs[k]]
+        shorts = [
+            build_short_variant(kind, (1, a, b))
+            for kind, low in (("shortprism", 1), ("shortpyramid", 2))
+            for a in range(low, 9)
+            for b in range(a, 9)
+        ]
+        graphs += [h for h in shorts if h.n <= 10]
+        for g in graphs:
+            hit = find_induced_3pc(g)
+            witness = None if hit is None else hit[1]
+            assert witness == helpers.threepc_subset_oracle(g, spec_graphs), g
 
     def test_too_large(self, monkeypatch):
         # the cap is checked before any canonical-form table is built

@@ -1,0 +1,229 @@
+"""Property tests for the input parsers and for bad input at the CLI.
+
+Example counts are bounded so the file adds a few seconds to the suite, and
+no example database is written.
+"""
+
+import itertools
+
+from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
+
+from obstructa.cli import main
+from obstructa.errors import GraphError, MalformedGraph6
+from obstructa.families import (
+    KIND_ORDER,
+    SHORT_PRISM,
+    SHORT_PYRAMID,
+    THETA,
+    ThreePcSpec,
+    WheelSpec,
+    format_spec,
+    parse_spec,
+)
+from obstructa.graphs import (
+    GRAPH6_MAX_VERTICES,
+    MAX_VERTICES,
+    Graph,
+    decode_graph6,
+    encode_graph6,
+    format_edge_list,
+    parse_edge_list,
+)
+
+FUZZ = settings(max_examples=100, deadline=None, database=None)
+
+
+@st.composite
+def graphs(draw, max_n: int, min_n: int = 0):
+    n = draw(st.integers(min_n, max_n))
+    pairs = list(itertools.combinations(range(n), 2))
+    code = draw(st.integers(0, (1 << len(pairs)) - 1))
+    rows = [0] * n
+    for i, (u, v) in enumerate(pairs):
+        if code >> i & 1:
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
+    return Graph(n, tuple(rows))
+
+
+# ---------------------------------------------------------------------------
+# graph6
+# ---------------------------------------------------------------------------
+
+
+@FUZZ
+@given(graphs(GRAPH6_MAX_VERTICES))
+def test_graph6_round_trip(g):
+    text = encode_graph6(g)
+    assert decode_graph6(text) == g
+    assert all(63 <= ord(c) <= 126 for c in text)
+
+
+@FUZZ
+@given(st.text())
+def test_decode_graph6_returns_or_rejects(text):
+    try:
+        g = decode_graph6(text)
+    except MalformedGraph6:
+        return
+    assert g.n == ord(text.strip()[0]) - 63
+
+
+# ---------------------------------------------------------------------------
+# edge lists
+# ---------------------------------------------------------------------------
+
+
+@FUZZ
+@given(graphs(MAX_VERTICES))
+def test_edge_list_round_trip(g):
+    assert parse_edge_list(format_edge_list(g)) == g
+
+
+_token = st.one_of(st.integers(-3, MAX_VERTICES + 3).map(str), st.sampled_from(["", "x", "1.5", "0x3"]))
+
+
+@FUZZ
+@given(st.lists(st.lists(_token, min_size=0, max_size=3), min_size=1, max_size=8))
+def test_parse_edge_list_accepts_exactly_the_valid_lists(lines):
+    text = "\n".join(" ".join(tokens) for tokens in lines)
+    rows = [ln.split() for ln in text.splitlines() if ln.strip()]
+
+    def valid() -> bool:
+        if not rows or len(rows[0]) != 1 or not rows[0][0].lstrip("-").isdigit():
+            return False
+        n = int(rows[0][0])
+        if not 0 <= n <= MAX_VERTICES:
+            return False
+        for tokens in rows[1:]:
+            if len(tokens) != 2 or not all(t.lstrip("-").isdigit() for t in tokens):
+                return False
+            u, v = map(int, tokens)
+            if u == v or not (0 <= u < n and 0 <= v < n):
+                return False
+        return True
+
+    try:
+        g = parse_edge_list(text)
+    except GraphError:
+        assert not valid()
+        return
+    assert valid()
+    want = {frozenset(map(int, tokens)) for tokens in rows[1:]}
+    assert g.n == int(rows[0][0])
+    assert {frozenset(e) for e in g.edges()} == want
+
+
+# ---------------------------------------------------------------------------
+# family specs
+# ---------------------------------------------------------------------------
+
+_lengths = st.tuples(*[st.integers(1, 30)] * 3)
+
+
+def _three_pc(kind: str, lengths, chords) -> ThreePcSpec:
+    # a theta takes at most one chord
+    return ThreePcSpec.of(kind, lengths, sorted(chords)[:1] if kind == THETA else chords)
+
+
+_specs = st.one_of(
+    st.builds(_three_pc, st.sampled_from(KIND_ORDER), _lengths, st.sets(st.integers(1, 3))),
+    st.integers(3, 40).flatmap(
+        lambda c: st.builds(WheelSpec, st.just(c), st.frozensets(st.integers(0, c - 1), min_size=3))
+    ),
+    st.tuples(st.sampled_from([SHORT_PRISM, SHORT_PYRAMID]), _lengths),
+)
+
+
+@FUZZ
+@given(_specs)
+def test_spec_round_trip(spec):
+    assert parse_spec(format_spec(spec)) == spec
+
+
+# ---------------------------------------------------------------------------
+# bad input at the CLI: exit 2 or 4, one error line, never a traceback
+# ---------------------------------------------------------------------------
+
+
+def _assert_clean_failure(result) -> None:
+    assert result.exit_code in (2, 4), (result.exit_code, result.output)
+    assert isinstance(result.exception, SystemExit), result.exception
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), result.stderr
+    assert result.stdout == ""
+
+
+# characters outside the graph6 byte range that neither open a spec (":")
+# nor vanish when the input is stripped
+_bad_char = st.characters(exclude_characters=":", exclude_categories=("Cs",)).filter(
+    lambda c: not 63 <= ord(c) <= 126 and not c.isspace()
+)
+
+
+@FUZZ
+@given(graphs(12), st.data())
+def test_check_rejects_bad_graph6(g, data):
+    text = encode_graph6(g)
+    if data.draw(st.booleans()):
+        at = data.draw(st.integers(0, len(text)))
+        text = text[:at] + data.draw(_bad_char) + text[at:]
+    else:
+        # a payload one or more bytes too long, or one byte too short
+        if len(text) == 1 or data.draw(st.booleans()):
+            text += data.draw(st.text(st.characters(min_codepoint=63, max_codepoint=126), min_size=1))
+        else:
+            text = text[:-1]
+    _assert_clean_failure(CliRunner().invoke(main, ["check", "--", text]))
+
+
+_FAMILIES = KIND_ORDER + ("wheel", SHORT_PRISM, SHORT_PYRAMID)
+
+_bad_spec = st.one_of(
+    # an unknown family
+    st.tuples(
+        st.text("abcdefghijklmnopqrstuvwxyz+", min_size=1).filter(
+            lambda head: head.split("+")[0] not in _FAMILIES
+        ),
+        st.text(),
+    ).map(":".join),
+    # a 3PC with a path shorter than 2, or not three lengths
+    st.tuples(
+        st.sampled_from(KIND_ORDER),
+        st.lists(st.integers(-5, 30), min_size=1, max_size=5).filter(
+            lambda lengths: len(lengths) != 3 or min(lengths) < 2
+        ),
+    ).map(lambda t: f"{t[0]}:{','.join(map(str, t[1]))}"),
+    # a wheel with a short rim, a spoke off the rim, or fewer than three spokes
+    st.tuples(st.integers(-2, 30), st.lists(st.integers(-3, 40), min_size=1, max_size=5))
+    .filter(lambda t: t[0] < 3 or len(set(t[1])) < 3 or not all(0 <= p < t[0] for p in t[1]))
+    .map(lambda t: f"wheel:{t[0]}@{','.join(map(str, t[1]))}"),
+)
+
+
+@FUZZ
+@given(_bad_spec)
+def test_check_rejects_bad_spec(text):
+    _assert_clean_failure(CliRunner().invoke(main, ["check", "--", text]))
+
+
+@FUZZ
+@given(graphs(8, min_n=1), st.sampled_from(["loop", "range", "arity", "word"]), st.data())
+def test_check_rejects_bad_edge_list(g, fault, data):
+    if fault == "loop":
+        v = data.draw(st.integers(0, g.n - 1))
+        bad = f"{v} {v}"
+    elif fault == "range":
+        bad = f"0 {data.draw(st.integers(g.n, g.n + 70))}"
+    elif fault == "arity":
+        bad = " ".join(["1"] * data.draw(st.sampled_from([1, 3, 4])))
+    else:
+        bad = f"0 {data.draw(st.sampled_from(['x', '1.5', '0x3']))}"
+    lines = format_edge_list(g).splitlines()
+    lines.insert(data.draw(st.integers(1, len(lines))), bad)
+    runner = CliRunner()
+    with runner.isolated_filesystem():
+        with open("g.txt", "w", encoding="utf-8") as fh:
+            fh.write("\n".join(lines) + "\n")
+        _assert_clean_failure(runner.invoke(main, ["check", "--input", "g.txt"]))

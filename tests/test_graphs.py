@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -11,7 +12,7 @@ from obstructa.errors import (
     SelfLoop,
     VertexOutOfRange,
 )
-from obstructa.families import ThreePcSpec, build_3pc
+from obstructa.families import ThreePcSpec, WheelSpec, all_specs_up_to, build_3pc, build_wheel
 from obstructa.graphs import (
     Graph,
     connectivity_report,
@@ -122,9 +123,8 @@ class TestInducedSubgraph:
         assert are_isomorphic(sub, helpers.cycle(4))
 
 
-    def test_min_degree2_subsets_filter_and_order(self):
-        import itertools
-
+    def test_min_degree2_subsets_filter_and_order(self, atlas8):
+        # the oracle against the definition
         rng = random.Random(12)
         for _ in range(60):
             g = helpers.random_graph(rng, rng.randint(3, 8), rng.random())
@@ -135,9 +135,31 @@ class TestInducedSubgraph:
                 for s in itertools.combinations(range(g.n), k)
                 if min(induced_subgraph(g, s)[0].degree_sequence()) >= 2
             ]
-            got = list(min_degree2_subsets(g.rows, sizes))
+            got = list(helpers.min_degree2_subsets_oracle(g.rows, sizes))
             assert [s for s, _ in got] == want
             assert all(mask == sum(1 << v for v in s) for s, mask in got)
+        # the pruned walk against the oracle: tuples, masks and order, on
+        # every small class, sparse 3PCs and wheels where pruning cuts most,
+        # cliques where it cuts nothing, and random graphs in between
+        graphs = [g for n in range(8) for g in atlas8[n]]
+        graphs += [build_3pc(spec) for spec in all_specs_up_to(12)]
+        graphs += [
+            build_wheel(WheelSpec(c, frozenset(hub)))
+            for c, hub in [(3, (0, 1, 2)), (6, (0, 2, 4)), (9, (0, 1, 5)), (12, (0, 4, 8)), (12, range(12))]
+        ]
+        graphs += [helpers.complete(n) for n in range(3, 11)]
+        graphs += [
+            helpers.random_graph(rng, rng.randint(3, 12), p / 10) for p in range(1, 10) for _ in range(4)
+        ]
+        for i, g in enumerate(graphs):
+            ascending = list(range(g.n + 2))  # size 0 and sizes above n included
+            shuffled = ascending[:]
+            rng.shuffle(shuffled)
+            orders = (ascending, ascending[::-1], shuffled)
+            # the larger graphs take one order each, in turn
+            for sizes in orders if g.n <= 7 else orders[i % 3 : i % 3 + 1]:
+                want = list(helpers.min_degree2_subsets_oracle(g.rows, sizes))
+                assert list(min_degree2_subsets(g.rows, sizes)) == want, (g, sizes)
 
 
 class TestConnectivity:

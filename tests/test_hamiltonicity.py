@@ -4,7 +4,14 @@ import pytest
 
 import helpers
 from obstructa.errors import TooLarge
-from obstructa.families import ThreePcSpec, WheelSpec, build_3pc, build_short_variant, build_wheel
+from obstructa.families import (
+    ThreePcSpec,
+    WheelSpec,
+    all_specs_up_to,
+    build_3pc,
+    build_short_variant,
+    build_wheel,
+)
 from obstructa.graphs import Certificate, graph_from_edges
 from obstructa.hamiltonicity import (
     find_hamiltonian_cycle,
@@ -118,19 +125,22 @@ class TestObstruction:
     def test_verdicts_and_witnesses_match_oracle_small(self, atlas8):
         # minimality on every 2-connected non-Hamiltonian class, against a
         # permutation-and-deletion oracle that shares no search code
+        graphs = [g for n in range(3, 8) for g in atlas8[n]]
+        # 3PCs up to 9 vertices: sparse obstructions whose minimality check
+        # walks every subset size down to 3
+        graphs += [build_3pc(spec) for spec in all_specs_up_to(9)]
         checked = 0
-        for n in range(3, 8):
-            for g in atlas8[n]:
-                if not helpers.two_connected_brute(g) or helpers.ham_cycle_brute(g):
-                    continue
-                checked += 1
-                v = is_hc_obstruction(g)
-                witness = helpers.nonminimal_oracle(g)
-                if witness is None:
-                    assert v.is_obstruction, g
-                else:
-                    assert v.failure_reason == "NonMinimal", g
-                    assert v.witness == Certificate("Embedding", witness), g
+        for g in graphs:
+            if not helpers.two_connected_brute(g) or helpers.ham_cycle_brute(g):
+                continue
+            checked += 1
+            v = is_hc_obstruction(g)
+            witness = helpers.nonminimal_oracle(g)
+            if witness is None:
+                assert v.is_obstruction, g
+            else:
+                assert v.failure_reason == "NonMinimal", g
+                assert v.witness == Certificate("Embedding", witness), g
         assert checked > 0
 
     def test_too_large(self):
