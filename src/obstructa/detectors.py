@@ -18,7 +18,7 @@ from .canon import canonical_rows
 from .errors import TooLarge
 from .families import ThreePcSpec, family_tables, format_spec, recognize_3pc
 from .graphs import Graph, bits, flood, induced_rows, is_two_connected, min_degree2_subsets
-from .hamiltonicity import find_hamiltonian_cycle, is_hc_obstruction
+from .hamiltonicity import _cycle_search, first_nonminimal_subset
 
 DETECT_3PC_MAX_VERTICES = 20  # the subset walk is pruned, but up to 2^n on dense graphs
 CLASSIFY_MAX_VERTICES = 16  # bounded by the obstruction minimality check
@@ -143,14 +143,18 @@ class ClassificationRecord:
 
 
 def classify(g: Graph) -> ClassificationRecord:
-    """Full per-graph verdict vector, delegating to the module detectors."""
+    """Full per-graph verdict vector, each fact decided once: a recognized 3PC
+    needs no subset scan, and `hc_obstruction` reuses the other verdicts."""
     if g.n > CLASSIFY_MAX_VERTICES:
         raise TooLarge(f"classification capped at {CLASSIFY_MAX_VERTICES} vertices")
+    two_connected = is_two_connected(g)
+    cycle = _cycle_search(g.n, g.rows)
+    recognized = recognize_3pc(g)
     return ClassificationRecord(
-        two_connected=is_two_connected(g),
+        two_connected=two_connected,
         wheel_free=find_induced_wheel(g) is None,
-        contains_3pc=find_induced_3pc(g) is not None,
-        hamiltonian=find_hamiltonian_cycle(g).found,
-        hc_obstruction=is_hc_obstruction(g).is_obstruction,
-        recognized_3pc=recognize_3pc(g),
+        contains_3pc=recognized is not None or find_induced_3pc(g) is not None,
+        hamiltonian=cycle is not None,
+        hc_obstruction=two_connected and cycle is None and first_nonminimal_subset(g.rows) is None,
+        recognized_3pc=recognized,
     )

@@ -39,7 +39,7 @@ from .canon import _canonical_search, canonical_rows, graph_from_canonical
 from .errors import InvalidJobCount, TooLarge
 from .families import family_tables, recognize_3pc
 from .graphs import Graph, bits, encode_graph6, is_two_connected
-from .hamiltonicity import _cycle_search, is_hc_obstruction
+from .hamiltonicity import _cycle_search, first_nonminimal_subset
 from .detectors import find_induced_wheel, scan_contains_family
 
 ENUMERATION_MAX_VERTICES = 10
@@ -265,9 +265,7 @@ def _survey_chunk(n: int, forms: list[bytes]) -> tuple:
         if not is_two_connected(n, rows):
             continue
         counts["two_connected"] += 1
-        recognized = None
-        if (g.edge_count, g.degree_sequence()) in sig_table:
-            recognized = recognize_3pc(g)
+        recognized = recognize_3pc(g) if (g.edge_count, g.degree_sequence()) in sig_table else None
         if recognized is not None:
             counts["recognized_3pcs"] += 1
         wheel_free = find_induced_wheel(g) is None
@@ -278,14 +276,13 @@ def _survey_chunk(n: int, forms: list[bytes]) -> tuple:
             counts["wheel_free_3pcs"] += 1
             wheel_free_3pc_forms.append(form)
         ham = _cycle_search(n, rows) is not None
-        has_3pc = scan_contains_family(n, rows, tables)
-        if not has_3pc:
+        if recognized is None and not scan_contains_family(n, rows, tables):
             counts["three_pc_free_among_those"] += 1
             if ham:
                 counts["hamiltonian_among_those"] += 1
             else:
                 ham_violations.append(form)
-        if not ham and is_hc_obstruction(g).is_obstruction:
+        if not ham and first_nonminimal_subset(rows) is None:
             counts["hc_obstructions_wheel_free"] += 1
             obstruction_forms.append(form)
     return counts, obstruction_forms, wheel_free_3pc_forms, ham_violations

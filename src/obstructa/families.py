@@ -257,22 +257,16 @@ def _degree_signature(spec: ThreePcSpec) -> tuple[int, ...]:
 def recognize_3pc(g: Graph) -> Optional[ThreePcSpec]:
     """The unique canonical spec g is isomorphic to, or None.
 
-    Candidate specs with matching vertex and edge counts are enumerated in
-    canonical order and compared by canonical form (a degree-sequence check
-    first is a pure optimization).
+    Candidate specs with matching vertex count, edge count and degree
+    sequence are taken in canonical order and compared by canonical form, so
+    g is labeled at most once and no spec is built or labeled unless its
+    edge count matches.
     """
-    candidates = [s for s in specs_with_vertex_count(g.n) if s.edge_count == g.edge_count]
-    if not candidates:
-        return None
-    degs = g.degree_sequence()
-    candidates = [s for s in candidates if _degree_signature(s) == degs]
-    if not candidates:
-        return None
-    mine = canonical_rows(g.n, g.rows)
-    for spec in candidates:
-        if _spec_canon(spec) == mine:
-            return spec
-    return None
+    m, degs = g.edge_count, g.degree_sequence()
+    specs = specs_with_vertex_count(g.n)
+    candidates = [s for s in specs if s.edge_count == m and _degree_signature(s) == degs]
+    mine = canonical_rows(g.n, g.rows) if candidates else None
+    return next((s for s in candidates if _spec_canon(s) == mine), None)
 
 
 # ---------------------------------------------------------------------------

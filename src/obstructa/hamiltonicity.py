@@ -147,16 +147,23 @@ class ObstructionVerdict:
     witness: Optional[Certificate] = None
 
 
-def is_hc_obstruction(g: Graph) -> ObstructionVerdict:
-    """Decide: 2-connected, non-Hamiltonian, and minimal with respect to that.
+def first_nonminimal_subset(rows: tuple[int, ...]) -> Optional[tuple[int, ...]]:
+    """First proper induced subgraph on >= 3 vertices (size descending, then
+    lexicographic) that is 2-connected and non-Hamiltonian, or None, which
+    makes a 2-connected non-Hamiltonian graph an HC-obstruction.  Only the
+    subsets of the pruned :func:`obstructa.graphs.min_degree2_subsets` walk
+    can qualify; dense graphs still cost up to 2^n of them."""
+    for subset, _ in min_degree2_subsets(rows, range(len(rows) - 1, 2, -1)):
+        sub = induced_rows(rows, subset)
+        if is_two_connected(len(sub), sub) and _cycle_search(len(sub), sub) is None:
+            return subset
+    return None
 
-    Minimality checks every proper induced subgraph on >= 3 vertices (size
-    descending, then lexicographic) and demands each one is either not
-    2-connected or Hamiltonian.  Only subsets of minimum induced degree 2
-    can be 2-connected, so the walk of :func:`obstructa.graphs.min_degree2_subsets`
-    visits just those, pruning every prefix that cannot reach the bound;
-    dense graphs still cost up to 2^n subsets.
-    """
+
+def is_hc_obstruction(g: Graph) -> ObstructionVerdict:
+    """Decide: 2-connected, non-Hamiltonian, and minimal with respect to that
+    (:func:`first_nonminimal_subset`).  Each failure carries a witness: the
+    least cut vertex, the Hamiltonian cycle, or the non-minimality subset."""
     if g.n > OBSTRUCTION_MAX_VERTICES:
         raise TooLarge(f"obstruction check capped at {OBSTRUCTION_MAX_VERTICES} vertices")
     report = connectivity_report(g)
@@ -168,9 +175,7 @@ def is_hc_obstruction(g: Graph) -> ObstructionVerdict:
     cycle = _cycle_search(g.n, g.rows)
     if cycle is not None:
         return ObstructionVerdict(False, "Hamiltonian", Certificate("HamCycle", cycle))
-    for subset, _ in min_degree2_subsets(g.rows, range(g.n - 1, 2, -1)):
-        size = len(subset)
-        sub = induced_rows(g.rows, subset)
-        if is_two_connected(size, sub) and _cycle_search(size, sub) is None:
-            return ObstructionVerdict(False, "NonMinimal", Certificate("Embedding", subset))
+    subset = first_nonminimal_subset(g.rows)
+    if subset is not None:
+        return ObstructionVerdict(False, "NonMinimal", Certificate("Embedding", subset))
     return ObstructionVerdict(True)

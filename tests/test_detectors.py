@@ -1,12 +1,15 @@
+import importlib
 import itertools
 import json
 import random
+from pathlib import Path
 
 import pytest
 
 import helpers
-from obstructa import detectors
+from obstructa import detectors, hamiltonicity
 from obstructa.detectors import (
+    ClassificationRecord,
     classify,
     find_induced_3pc,
     find_induced_wheel,
@@ -16,6 +19,7 @@ from obstructa.errors import TooLarge
 from obstructa.families import (
     ThreePcSpec,
     WheelSpec,
+    all_specs_up_to,
     build_3pc,
     build_short_variant,
     build_wheel,
@@ -23,7 +27,28 @@ from obstructa.families import (
     format_spec,
     recognize_3pc,
 )
-from obstructa.graphs import Graph, graph_from_edges, induced_rows, induced_subgraph
+from obstructa.graphs import (
+    Graph,
+    decode_graph6,
+    graph_from_edges,
+    induced_rows,
+    induced_subgraph,
+    is_two_connected,
+)
+from obstructa.hamiltonicity import find_hamiltonian_cycle, is_hc_obstruction
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def short_variants(max_n: int) -> list[Graph]:
+    """The short prisms and pyramids on at most max_n vertices."""
+    graphs = [
+        build_short_variant(kind, (1, a, b))
+        for kind, low in (("shortprism", 1), ("shortpyramid", 2))
+        for a in range(low, max_n)
+        for b in range(a, max_n)
+    ]
+    return [h for h in graphs if h.n <= max_n]
 
 
 class TestWheelDetector:
@@ -131,13 +156,7 @@ class TestThreePcDetector:
         # sparse inputs up to 10 vertices, where the subset walk prunes most:
         # 3PCs, and the short prisms and pyramids that are not 3PCs
         graphs += [h for k in range(5, 11) for h in spec_graphs[k]]
-        shorts = [
-            build_short_variant(kind, (1, a, b))
-            for kind, low in (("shortprism", 1), ("shortpyramid", 2))
-            for a in range(low, 9)
-            for b in range(a, 9)
-        ]
-        graphs += [h for h in shorts if h.n <= 10]
+        graphs += short_variants(10)
         for g in graphs:
             hit = find_induced_3pc(g)
             witness = None if hit is None else hit[1]
@@ -207,6 +226,54 @@ class TestClassify:
     def test_too_large(self):
         with pytest.raises(TooLarge):
             classify(graph_from_edges(17, []))
+
+    def test_matches_standalone_detectors(self, atlas8, monkeypatch):
+        # classify shares verdicts between facts; each standalone detector
+        # decides its fact alone, and the records must agree
+        monkeypatch.syspath_prepend(str(PERFBENCH))
+        corpus = importlib.import_module("corpus")
+        graphs = [g for n in range(8) for g in atlas8[n]]
+        graphs += [build_3pc(s) for s in all_specs_up_to(12)]
+        graphs += short_variants(10)
+        graphs += [decode_graph6(e.graph6) for e in corpus.generate(1, 2)]
+        for g in graphs:
+            alone = ClassificationRecord(
+                two_connected=is_two_connected(g),
+                wheel_free=find_induced_wheel(g) is None,
+                contains_3pc=find_induced_3pc(g) is not None,
+                hamiltonian=find_hamiltonian_cycle(g).found,
+                hc_obstruction=is_hc_obstruction(g).is_obstruction,
+                recognized_3pc=recognize_3pc(g),
+            )
+            assert classify(g) == alone, g
+
+    def test_work_counts(self, atlas8, monkeypatch):
+        # a graph that is itself a 3PC needs no subset scan, and every graph
+        # gets exactly one Hamiltonian cycle search over all its vertices
+        scans = []
+        real_scan = detectors._first_in_tables
+        monkeypatch.setattr(
+            detectors, "_first_in_tables", lambda rows, t: scans.append(rows) or real_scan(rows, t)
+        )
+        searched = []
+        real_search = hamiltonicity._cycle_search
+        for module in (detectors, hamiltonicity):
+            monkeypatch.setattr(
+                module, "_cycle_search", lambda n, rows: searched.append(n) or real_search(n, rows)
+            )
+        for spec in all_specs_up_to(12):
+            g = build_3pc(spec)
+            searched.clear()
+            classify(g)
+            assert searched.count(g.n) == 1, spec
+        assert scans == []
+        others = [g for n in range(7) for g in atlas8[n]] + short_variants(9)
+        for g in others:
+            searched.clear()
+            classify(g)
+            assert searched.count(g.n) == 1, g
+        # every graph that is not itself a 3PC gets the scan, once
+        assert len(scans) == sum(recognize_3pc(g) is None for g in others)
 
 
 class TestCharacterizationProperties:

@@ -149,6 +149,20 @@ class TestRecognition:
         assert recognize_3pc(helpers.cycle(6)) is None
         assert recognize_3pc(helpers.complete(4)) is None
 
+    def test_long_cycle_builds_and_labels_nothing(self, monkeypatch):
+        # no spec on 40 vertices has 40 edges, so recognition of C_40 must end
+        # before building any spec or labeling either side
+        from obstructa import families
+
+        calls = []
+        real_build, real_label = families.build_3pc, families.canonical_rows
+        monkeypatch.setattr(families, "build_3pc", lambda s: calls.append(s) or real_build(s))
+        monkeypatch.setattr(
+            families, "canonical_rows", lambda n, rows: calls.append(n) or real_label(n, rows)
+        )
+        assert recognize_3pc(helpers.cycle(40)) is None
+        assert calls == []
+
     def test_spec_space_sizes(self):
         # theta and theta+ only at n=5 and n=6; pyramids join at n=7
         assert len(specs_with_vertex_count(5)) == 2
