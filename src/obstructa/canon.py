@@ -6,6 +6,12 @@ isomorphism-invariant search tree: refine the unit partition to an equitable
 one, then repeatedly individualize vertices of the first non-singleton cell.
 Equal forms therefore mean isomorphic graphs and vice versa.
 
+After the root, refinement counts neighbours only against the cells that
+just split, less the last fragment of each (McKay & Piperno, "Practical
+graph isomorphism II", 2014).  Within a cell only those counts can differ,
+and they sort its vertices as counts against every cell would, so the cell
+order and every canonical form are those of full refinement (see _refine).
+
 One exactness-preserving pruning keeps the tree small, and the same search
 measures the automorphism group:
 
@@ -18,9 +24,8 @@ measures the automorphism group:
 * the search also collects generators of the automorphism group: every
   leaf whose relabeled rows equal the best so far maps each vertex to the
   vertex holding its position in the best leaf, and every twin merge is the
-  transposition of the two twins (McKay & Piperno, "Practical graph
-  isomorphism II", 2014).  Generation uses them to extend each parent once
-  per automorphism orbit.
+  transposition of a twin and its class representative (McKay & Piperno).
+  Generation uses them to extend each parent once per automorphism orbit.
 """
 
 from __future__ import annotations
@@ -28,39 +33,55 @@ from __future__ import annotations
 from .graphs import Graph, bits
 
 
-def _refine(n: int, rows: tuple[int, ...], cells: list[int]) -> list[int]:
+def _refine(n: int, rows: tuple[int, ...], cells: list[int], active: list[int]) -> list[int]:
     """Refine an ordered partition (list of cell masks) to an equitable one.
 
-    Vertex signatures are neighbor counts against every cell, packed into one
-    int (n <= 64 keeps each count in 7 bits); the derived cell order depends
-    only on those counts, so refinement is isomorphism-invariant.
+    Each pass splits every cell by its vertices' neighbour counts against
+    the ``active`` cells, taken in order (lexicographic on the count tuple),
+    and the next pass counts only against the fragments it made, leaving out
+    the last fragment of each split cell.  The root call passes the whole
+    vertex set as ``active``; after individualizing ``rep`` in an equitable
+    partition it is ``[1 << rep]``.  The cell order equals that of sorting
+    on counts against every cell: the vertices of a cell already agree on
+    their counts against every older cell, and the fragments of one split
+    cell have a constant count sum, so the dropped counts are constant or
+    decided by the earlier fragments.  The counts are packed into one int
+    (n <= 64 keeps each in 7 bits), or against a lone active singleton are
+    its two adjacency masks, non-neighbours first; the order depends only on
+    them, so refinement is isomorphism-invariant.  A discrete partition ends
+    the refinement.
     """
-    while True:
-        changed = False
+    while active:
         out: list[int] = []
-        for cm in cells:
-            if cm & (cm - 1) == 0:
-                out.append(cm)
+        split: list[int] = []
+        first = active[0]
+        # counts against one singleton {s} are adjacency to s: two masks
+        s = rows[first.bit_length() - 1] if len(active) == 1 and first & (first - 1) == 0 else -1
+        for p in cells:
+            if p & (p - 1) == 0:
+                out.append(p)
                 continue
-            groups: dict[int, int] = {}
-            for v in bits(cm):
-                rv = rows[v]
-                sig = 0
-                for m in cells:
-                    sig = sig << 7 | (rv & m).bit_count()
-                if sig in groups:
-                    groups[sig] |= 1 << v
-                else:
-                    groups[sig] = 1 << v
-            if len(groups) == 1:
-                out.append(cm)
+            if s >= 0:
+                lo = p & ~s
+                parts = [lo, p ^ lo] if lo and lo != p else [p]
             else:
-                changed = True
-                for sig in sorted(groups):
-                    out.append(groups[sig])
-        if not changed:
+                groups: dict[int, int] = {}
+                m = p
+                while m:
+                    b = m & -m
+                    m ^= b
+                    rv = rows[b.bit_length() - 1]
+                    sig = 0
+                    for a in active:
+                        sig = sig << 7 | (rv & a).bit_count()
+                    groups[sig] = groups.get(sig, 0) | b
+                parts = [groups[sig] for sig in sorted(groups)] if len(groups) > 1 else [p]
+            out += parts
+            split += parts[:-1]
+        if len(out) == n:
             return out
-        cells = out
+        cells, active = out, split
+    return cells
 
 
 def _twin_classes(
@@ -69,33 +90,25 @@ def _twin_classes(
     """Group cell members u~v when the transposition (u v) is an automorphism.
 
     Returns (representative, class size) pairs, representatives ascending,
-    and adds to ``merges`` each pair (u, v) whose transposition joined two
-    classes.  u~v holds iff the rows agree outside {u, v}: identical rows
-    (non-adjacent twins) or rows differing exactly in the two bits u, v
-    (adjacent twins).
+    and adds to ``merges`` the pair (rep, v) for every other member v of a
+    class.  u~v holds iff the rows agree outside {u, v}: identical open rows
+    (non-adjacent twins) or identical closed rows (adjacent twins).  The
+    relation is an equivalence and each class is all adjacent or all
+    non-adjacent, so one lookup on each row finds a member's class; an open
+    row never equals another vertex's closed row.
     """
-    parent = {v: v for v in members}
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for i, u in enumerate(members):
-        ru = rows[u]
-        for v in members[i + 1 :]:
-            d = ru ^ rows[v]
-            if d == 0 or d == (1 << u | 1 << v):
-                a, b = find(u), find(v)
-                if a != b:
-                    parent[max(a, b)] = min(a, b)
-                    merges.add((u, v))
+    reps: dict[int, int] = {}
     sizes: dict[int, int] = {}
     for v in members:
-        r = find(v)
-        sizes[r] = sizes.get(r, 0) + 1
-    return sorted(sizes.items())
+        r = rows[v]
+        rep = reps.get(r, reps.get(r | 1 << v))
+        if rep is None:
+            reps[r] = reps[r | 1 << v] = v
+            sizes[v] = 1
+        else:
+            sizes[rep] += 1
+            merges.add((rep, v))
+    return list(sizes.items())
 
 
 def _canonical_search(
@@ -109,35 +122,36 @@ def _canonical_search(
     if n == 0:
         return (), 1, []
     best: tuple[int, ...] | None = None
-    best_cells: list[int] = []
+    best_order: list[int] = []
     count = 0
     gens: list[tuple[int, ...]] = []
     merges: set[tuple[int, int]] = set()
 
     def leaf(cells: list[int], mult: int) -> None:
-        nonlocal best, best_cells, count
-        pos = [0] * n
-        for i, c in enumerate(cells):
-            pos[c.bit_length() - 1] = i
+        nonlocal best, best_order, count
+        order = [c.bit_length() - 1 for c in cells]
+        posbit = [0] * n
+        for i, v in enumerate(order):
+            posbit[v] = 1 << i
         new = []
-        for c in cells:
-            m = rows[c.bit_length() - 1]
+        for v in order:
+            m = rows[v]
             r = 0
             while m:
                 b = m & -m
                 m ^= b
-                r |= 1 << pos[b.bit_length() - 1]
+                r |= posbit[b.bit_length() - 1]
             new.append(r)
         key = tuple(new)
         if best is None or key < best:
             best = key
-            best_cells = cells
+            best_order = order
             count = mult
         elif key == best:
             count += mult
             perm = [0] * n
-            for c, b in zip(cells, best_cells):
-                perm[c.bit_length() - 1] = b.bit_length() - 1
+            for v, b in zip(order, best_order):
+                perm[v] = b
             gens.append(tuple(perm))
 
     def rec(cells: list[int], mult: int) -> None:
@@ -149,9 +163,10 @@ def _canonical_search(
             return
         for rep, size in _twin_classes(rows, list(bits(cm)), merges):
             nxt = cells[:idx] + [1 << rep, cm & ~(1 << rep)] + cells[idx + 1 :]
-            rec(_refine(n, rows, nxt), mult * size)
+            # a discrete partition is already equitable
+            rec(nxt if len(nxt) == n else _refine(n, rows, nxt, [1 << rep]), mult * size)
 
-    rec(_refine(n, rows, [(1 << n) - 1]), 1)
+    rec(_refine(n, rows, [(1 << n) - 1], [(1 << n) - 1]), 1)
     assert best is not None
     for u, v in sorted(merges):
         perm = list(range(n))

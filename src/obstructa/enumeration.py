@@ -95,6 +95,15 @@ def _child_forms(n_parent: int, parents: list[tuple[int, ...]]) -> set[bytes]:
     of the parent, extended to fix the new vertex, is an isomorphism between
     their children.
 
+    Masks and orbit images are bitmasks, and a neighbour-degree list is
+    compared as one integer key: digit ``n - x`` (in base ``2**shift``)
+    counts the entries equal to ``x``.  Of two lists of the same length the
+    lexicographically greater has the smaller key, since at the least value
+    where their counts differ it has fewer entries.  Each parent keeps the
+    key of every vertex and, per vertex, the change of a key when that
+    neighbour's degree goes up by one; a rival's key in the child is its
+    parent key plus those changes over its neighbours in the mask.
+
     Nothing is lost.  Every graph G has a vertex v maximizing the
     invariant, G - v is isomorphic to some parent P, and mapping v's
     neighbourhood through that isomorphism gives a mask whose child is
@@ -107,39 +116,44 @@ def _child_forms(n_parent: int, parents: list[tuple[int, ...]]) -> set[bytes]:
     n = n_parent + 1
     width = (n + 7) // 8
     head = bytes([n])
+    shift = n.bit_length()
+    digit = [1 << shift * (n - x) for x in range(n + 1)]
+    bit = [1 << u for u in range(n)]
     for rows in parents:
         deg = [r.bit_count() for r in rows]
         adj = [list(bits(r)) for r in rows]
-        gens = _canonical_search(n_parent, rows)[2]
-        done: set[tuple[int, ...]] = set()
+        key = [sum([digit[deg[x]] for x in a]) for a in adj]
+        up = [digit[x + 1] for x in deg]
+        delta = [digit[x + 1] - digit[x] for x in deg]
+        gens = [(p, [1 << q for q in p]) for p in _canonical_search(n_parent, rows)[2]]
+        done: set[int] = set()
         for d in range(max(deg, default=0), n):
             below = [u for u in range(n_parent) if deg[u] < d]
             tied = [w for w in range(n_parent) if deg[w] == d]
             for neighbours in combinations(below, d):
-                if neighbours in done:
+                mask = sum(map(bit.__getitem__, neighbours))
+                if mask in done:
                     continue
-                cdeg = deg[:]
-                for u in neighbours:
-                    cdeg[u] += 1
-                mine = sorted([cdeg[u] for u in neighbours])
+                mine = sum(map(up.__getitem__, neighbours))
                 # the other vertices of degree d in the child: those of the
                 # parent's degree d, and the mask's vertices of degree d - 1,
                 # which also neighbour the new vertex
-                if any(sorted([cdeg[x] for x in adj[w]]) > mine for w in tied) or any(
-                    sorted([cdeg[x] for x in adj[u]] + [d]) > mine
+                if any(
+                    key[w] + sum([delta[x] for x in adj[w] if mask >> x & 1]) < mine for w in tied
+                ) or any(
+                    key[u] + digit[d] + sum([delta[x] for x in adj[u] if mask >> x & 1]) < mine
                     for u in neighbours
-                    if cdeg[u] == d
+                    if deg[u] == d - 1
                 ):
                     continue
                 orbit = [neighbours]
-                done.add(neighbours)
+                done.add(mask)
                 for m in orbit:
-                    for p in gens:
-                        image = tuple(sorted([p[u] for u in m]))
+                    for p, pbit in gens:
+                        image = sum(map(pbit.__getitem__, m))
                         if image not in done:
                             done.add(image)
-                            orbit.append(image)
-                mask = sum(1 << u for u in neighbours)
+                            orbit.append([p[u] for u in m])
                 child = [r | (mask >> i & 1) << newbit for i, r in enumerate(rows)]
                 child.append(mask)
                 crows = canonical_rows(n, tuple(child))

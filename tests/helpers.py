@@ -8,6 +8,8 @@ from __future__ import annotations
 import itertools
 from typing import Optional
 
+from hypothesis import strategies as st
+
 from obstructa.graphs import Graph, bits, flood, graph_from_edges, induced_rows
 
 
@@ -60,6 +62,20 @@ def subdivide_every_edge(g: Graph) -> Graph:
 def random_graph(rng, n: int, p: float) -> Graph:
     edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < p]
     return graph_from_edges(n, edges)
+
+
+@st.composite
+def graphs(draw, max_n: int, min_n: int = 0):
+    """Hypothesis strategy: a graph on min_n..max_n vertices, any edge set."""
+    n = draw(st.integers(min_n, max_n))
+    pairs = list(itertools.combinations(range(n), 2))
+    code = draw(st.integers(0, (1 << len(pairs)) - 1))
+    rows = [0] * n
+    for i, (u, v) in enumerate(pairs):
+        if code >> i & 1:
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
+    return Graph(n, tuple(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -301,3 +317,148 @@ def labeled_class_count(n: int) -> int:
                 rows[v] |= 1 << u
         seen.add(canonical_rows(n, tuple(rows)))
     return len(seen)
+
+
+# ---------------------------------------------------------------------------
+# reference copies of the generation kernel
+# ---------------------------------------------------------------------------
+
+
+def refine_reference(rows: tuple[int, ...], cells: list[int]) -> list[int]:
+    """Equitable refinement counting every vertex's neighbours in every cell
+    on every pass, cells split in ascending order of the count tuple."""
+    while True:
+        changed = False
+        out: list[int] = []
+        for cm in cells:
+            if cm & (cm - 1) == 0:
+                out.append(cm)
+                continue
+            groups: dict[tuple[int, ...], int] = {}
+            for v in bits(cm):
+                sig = tuple((rows[v] & m).bit_count() for m in cells)
+                groups[sig] = groups.get(sig, 0) | 1 << v
+            changed |= len(groups) > 1
+            out += [groups[sig] for sig in sorted(groups)]
+        if not changed:
+            return out
+        cells = out
+
+
+def twin_classes_reference(rows: tuple[int, ...], members: list[int]) -> list[tuple[int, int]]:
+    """(least member, size) of each class of u~v, rows equal outside {u, v},
+    by union-find over all member pairs."""
+    parent = {v: v for v in members}
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for u, v in itertools.combinations(members, 2):
+        d = rows[u] ^ rows[v]
+        if d == 0 or d == (1 << u | 1 << v):
+            a, b = find(u), find(v)
+            parent[max(a, b)] = min(a, b)
+    sizes: dict[int, int] = {}
+    for v in members:
+        sizes[find(v)] = sizes.get(find(v), 0) + 1
+    return sorted(sizes.items())
+
+
+def group_order(n: int, gens: list[tuple[int, ...]]) -> int:
+    """Order of the permutation group generated by ``gens`` (v -> p[v]), by
+    Schreier-Sims: grow a base and strong generators until every Schreier
+    generator of every level sifts to the identity through the levels below."""
+    ident = tuple(range(n))
+
+    def mul(p, q):  # p, then q
+        return tuple(q[x] for x in p)
+
+    def inv(p):
+        r = [0] * n
+        for i, x in enumerate(p):
+            r[x] = i
+        return tuple(r)
+
+    levels: list[list] = []  # [base point, generators, transversal]
+
+    def orbit(level: list) -> None:
+        b, gs, trans = level
+        queue = list(trans)
+        for x in queue:
+            for g in gs:
+                if g[x] not in trans:
+                    trans[g[x]] = mul(trans[x], g)
+                    queue.append(g[x])
+
+    def sift(g, i: int) -> tuple:
+        while i < len(levels):
+            u = levels[i][2].get(g[levels[i][0]])
+            if u is None:
+                break
+            g = mul(g, inv(u))
+            i += 1
+        return g, i
+
+    def add(g, first: int) -> None:
+        g, j = sift(g, first)
+        if g == ident:
+            return
+        if j == len(levels):
+            b = next(x for x in range(n) if g[x] != x)
+            levels.append([b, [], {b: ident}])
+        for level in levels[first : j + 1]:
+            level[1].append(g)
+            orbit(level)
+
+    for g in gens:
+        add(g, 0)
+    changed = True
+    while changed:
+        changed = False
+        for i, (_, gs, trans) in enumerate(levels):
+            for x, u in list(trans.items()):
+                for g in list(gs):
+                    s = mul(mul(u, g), inv(trans[g[x]]))
+                    if sift(s, i + 1)[0] != ident:
+                        add(s, i + 1)
+                        changed = True
+    order = 1
+    for level in levels:
+        order *= len(level[2])
+    return order
+
+
+def labeled_masks_reference(n_parent: int, rows: tuple[int, ...], gens) -> list[int]:
+    """Masks ``_child_forms`` labels for one parent, in order, with the
+    neighbour-degree rule on sorted degree lists and orbits as vertex tuples."""
+    n = n_parent + 1
+    deg = [r.bit_count() for r in rows]
+    adj = [list(bits(r)) for r in rows]
+    done: set[tuple[int, ...]] = set()
+    labeled = []
+    for d in range(max(deg, default=0), n):
+        below = [u for u in range(n_parent) if deg[u] < d]
+        tied = [w for w in range(n_parent) if deg[w] == d]
+        for neighbours in itertools.combinations(below, d):
+            if neighbours in done:
+                continue
+            cdeg = deg[:]
+            for u in neighbours:
+                cdeg[u] += 1
+            mine = sorted(cdeg[u] for u in neighbours)
+            if any(sorted(cdeg[x] for x in adj[w]) > mine for w in tied) or any(
+                sorted([cdeg[x] for x in adj[u]] + [d]) > mine for u in neighbours if cdeg[u] == d
+            ):
+                continue
+            orbit = [neighbours]
+            done.add(neighbours)
+            for m in orbit:
+                for p in gens:
+                    image = tuple(sorted(p[u] for u in m))
+                    if image not in done:
+                        done.add(image)
+                        orbit.append(image)
+            labeled.append(sum(1 << u for u in neighbours))
+    return labeled

@@ -1,9 +1,13 @@
 import itertools
 import random
 
+from hypothesis import given, settings
+
 import helpers
 from obstructa.canon import (
     _canonical_search,
+    _refine,
+    _twin_classes,
     are_isomorphic,
     automorphism_count,
     canonical_form,
@@ -11,7 +15,7 @@ from obstructa.canon import (
     graph_from_canonical,
 )
 from obstructa.families import ThreePcSpec, build_3pc
-from obstructa.graphs import graph_from_edges
+from obstructa.graphs import bits, graph_from_edges
 
 
 def permuted(g, perm):
@@ -102,3 +106,50 @@ def test_search_generators_generate_the_automorphism_group(atlas8):
                             nxt.append(r)
                 frontier = nxt
             assert len(group) == automorphism_count(g), g
+
+
+def _assert_kernel_matches_reference(g):
+    # at the root and at every individualization the search makes, the
+    # refinement against the cells that just split gives the same ordered
+    # cells as the full-signature reference, and the twin lookup the same
+    # classes as the union-find reference; the generators of the search are
+    # automorphisms and generate a group of order automorphism_count
+    n, rows = g.n, g.rows
+    if n == 0:
+        return
+    full = (1 << n) - 1
+    root = _refine(n, rows, [full], [full])
+    assert root == helpers.refine_reference(rows, [full])
+    stack = [root]
+    while stack:
+        cells = stack.pop()
+        cm = next((c for c in cells if c & (c - 1)), 0)
+        if not cm:
+            continue
+        idx = cells.index(cm)
+        members = list(bits(cm))
+        classes = _twin_classes(rows, members, set())
+        assert classes == helpers.twin_classes_reference(rows, members)
+        for rep, _ in classes:
+            nxt = cells[:idx] + [1 << rep, cm & ~(1 << rep)] + cells[idx + 1 :]
+            refined = _refine(n, rows, nxt, [1 << rep])
+            assert refined == helpers.refine_reference(rows, nxt)
+            stack.append(refined)
+    _, count, gens = _canonical_search(n, rows)
+    edges = {frozenset(e) for e in g.edges()}
+    for p in gens:
+        assert sorted(p) == list(range(n))
+        assert {frozenset((p[u], p[v])) for u, v in edges} == edges
+    assert helpers.group_order(n, gens) == count
+
+
+def test_kernel_matches_reference_on_every_graph_to_n7(atlas8):
+    for n in range(min(7, max(atlas8)) + 1):
+        for g in atlas8[n]:
+            _assert_kernel_matches_reference(g)
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(helpers.graphs(16))
+def test_kernel_matches_reference_to_16_vertices(g):
+    _assert_kernel_matches_reference(g)

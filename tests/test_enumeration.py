@@ -7,7 +7,7 @@ import pytest
 
 import helpers
 from obstructa import enumeration
-from obstructa.canon import automorphism_count, canonical_form
+from obstructa.canon import _canonical_search, automorphism_count, canonical_form
 from obstructa.enumeration import (
     CensusReport,
     census,
@@ -84,6 +84,21 @@ class TestGeneration:
             assert sum(1 for _ in enumerate_graphs(n, jobs=1)) == KNOWN_CLASS_COUNTS[n]
             per_n.append(calls[0] - before)
         assert per_n == [1, 2, 4, 11, 34, 158, 1090]
+
+    def test_neighbour_degree_keys_match_sorted_lists(self, atlas8, monkeypatch):
+        # the histogram-key rule and the bitmask orbits label the same masks
+        # in the same order as sorted neighbour-degree lists and vertex-tuple
+        # orbits, on every parent with n <= 7; the child's last row is its mask
+        labeled = []
+        monkeypatch.setattr(
+            enumeration, "canonical_rows", lambda n, rows: labeled.append(rows[-1]) or rows
+        )
+        for n in range(min(7, max(atlas8)) + 1):
+            for g in atlas8[n]:
+                labeled.clear()
+                enumeration._child_forms(n, [g.rows])
+                gens = _canonical_search(n, g.rows)[2]
+                assert labeled == helpers.labeled_masks_reference(n, g.rows, gens), g
 
     def test_matches_networkx_graph_atlas(self):
         # independent completeness oracle: the networkx atlas of all 1,253

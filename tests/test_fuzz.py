@@ -1,14 +1,15 @@
-"""Property tests for the input parsers and for bad input at the CLI.
+"""Property tests for the input parsers, canonical labeling and bad input at
+the CLI.
 
 Example counts are bounded so the file adds a few seconds to the suite, and
 no example database is written.
 """
 
-import itertools
-
 from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
+from helpers import graphs
+from obstructa.canon import canonical_rows
 from obstructa.cli import main
 from obstructa.errors import GraphError, MalformedGraph6
 from obstructa.families import (
@@ -24,27 +25,29 @@ from obstructa.families import (
 from obstructa.graphs import (
     GRAPH6_MAX_VERTICES,
     MAX_VERTICES,
-    Graph,
     decode_graph6,
     encode_graph6,
     format_edge_list,
+    graph_from_edges,
     parse_edge_list,
 )
 
 FUZZ = settings(max_examples=100, deadline=None, database=None)
 
 
-@st.composite
-def graphs(draw, max_n: int, min_n: int = 0):
-    n = draw(st.integers(min_n, max_n))
-    pairs = list(itertools.combinations(range(n), 2))
-    code = draw(st.integers(0, (1 << len(pairs)) - 1))
-    rows = [0] * n
-    for i, (u, v) in enumerate(pairs):
-        if code >> i & 1:
-            rows[u] |= 1 << v
-            rows[v] |= 1 << u
-    return Graph(n, tuple(rows))
+# ---------------------------------------------------------------------------
+# canonical labeling
+# ---------------------------------------------------------------------------
+
+
+@FUZZ
+@given(graphs(16), st.data())
+def test_canonical_rows_invariant_under_relabeling(g, data):
+    # any relabeling, as check makes when it labels an induced subgraph in
+    # its own vertex order, gives the same canonical rows
+    perm = data.draw(st.permutations(range(g.n)))
+    h = graph_from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+    assert canonical_rows(h.n, h.rows) == canonical_rows(g.n, g.rows)
 
 
 # ---------------------------------------------------------------------------
