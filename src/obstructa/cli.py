@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import sys
-from typing import Optional
+from typing import NoReturn, Optional
 
 import click
 
@@ -52,12 +52,25 @@ EXIT_PARSE = 2
 EXIT_TOO_LARGE = 3
 EXIT_BAD_SPEC = 4
 
-_SPEC_ERRORS = (ShortVariant, TooManyThetaChords, InvalidLengths, TooFewSpokes)
+_SPEC_ERRORS = (ShortVariant, TooManyThetaChords, InvalidLengths, TooFewSpokes, VertexOutOfRange)
 
 
-def _fail(code: int, message: str) -> None:
+def _fail(code: int, message: str) -> NoReturn:
     click.echo(f"error: {message}", err=True)
     sys.exit(code)
+
+
+def _build_spec(text: str) -> Graph:
+    """Build a family spec; a syntax error exits 2, a spec outside its family 4,
+    and a graph past the size cap 3."""
+    try:
+        return build_from_spec(parse_spec(text))
+    except SpecSyntaxError as exc:
+        _fail(EXIT_PARSE, str(exc))
+    except _SPEC_ERRORS as exc:
+        _fail(EXIT_BAD_SPEC, str(exc))
+    except CapacityExceeded as exc:
+        _fail(EXIT_TOO_LARGE, str(exc))
 
 
 def _load_graph(text: Optional[str], input_file: Optional[str]) -> Graph:
@@ -72,21 +85,11 @@ def _load_graph(text: Optional[str], input_file: Optional[str]) -> Graph:
     if text is None:
         _fail(EXIT_PARSE, "no input given")
     if ":" in text:
-        try:
-            return build_from_spec(parse_spec(text))
-        except SpecSyntaxError as exc:
-            _fail(EXIT_PARSE, str(exc))
-        except _SPEC_ERRORS as exc:
-            _fail(EXIT_BAD_SPEC, str(exc))
-        except VertexOutOfRange as exc:
-            _fail(EXIT_BAD_SPEC, str(exc))
-        except CapacityExceeded as exc:
-            _fail(EXIT_TOO_LARGE, str(exc))
+        return _build_spec(text)
     try:
         return decode_graph6(text)
     except MalformedGraph6 as exc:
         _fail(EXIT_PARSE, str(exc))
-    raise AssertionError("unreachable")
 
 
 @click.group()
@@ -121,14 +124,7 @@ def _emit_record(g: Graph) -> None:
 @click.argument("spec")
 def gen(spec: str) -> None:
     """Emit the graph6 of a family spec (theta:2,2,2, wheel:6@0,2,4, ...)."""
-    try:
-        g = build_from_spec(parse_spec(spec))
-    except SpecSyntaxError as exc:
-        _fail(EXIT_PARSE, str(exc))
-    except (_SPEC_ERRORS + (VertexOutOfRange,)) as exc:
-        _fail(EXIT_BAD_SPEC, str(exc))
-    except CapacityExceeded as exc:
-        _fail(EXIT_TOO_LARGE, str(exc))
+    g = _build_spec(spec)
     try:
         click.echo(encode_graph6(g))
     except CapacityExceeded as exc:

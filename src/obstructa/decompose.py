@@ -71,22 +71,20 @@ class SpecialEdge:
 
 
 def find_special_edges(g: Graph) -> tuple[SpecialEdge, ...]:
-    """All (edge, midpoint) pairs, ordered lexicographically by (u, v, w)."""
+    """All (edge, midpoint) pairs, ordered lexicographically by (u, v, w).
+
+    In a 2-connected graph on n >= 4 vertices, (uv, w) is one exactly when
+    N(w) = {u, v} and uv is an edge: deleting u and v isolates w, and some
+    other vertex remains.
+    """
     if not is_two_connected(g):
         raise NotTwoConnected("special edges are defined on 2-connected graphs")
     out = []
-    full = g.vertex_mask
-    for u, v in g.edges():
-        rest = full & ~(1 << u) & ~(1 << v)
-        comps = component_masks(g.rows, rest)
-        if len(comps) < 2:
-            continue
-        pair = 1 << u | 1 << v
-        for comp in comps:
-            if comp & (comp - 1) == 0:
-                w = comp.bit_length() - 1
-                if g.rows[w] == pair:
-                    out.append(SpecialEdge((u, v), w))
+    for w, row in enumerate(g.rows):
+        if g.n >= 4 and row.bit_count() == 2:
+            u, v = bits(row)
+            if g.has_edge(u, v):
+                out.append(SpecialEdge((u, v), w))
     return tuple(sorted(out, key=lambda s: (s.edge, s.midpoint)))
 
 

@@ -17,8 +17,8 @@ from typing import Optional
 from .canon import canonical_rows
 from .errors import TooLarge
 from .families import ThreePcSpec, family_tables, format_spec, recognize_3pc
-from .graphs import Graph, bits, flood, induced_rows, is_two_connected, min_degree2_subsets
-from .hamiltonicity import _cycle_search, first_nonminimal_subset
+from .graphs import Graph, bits, flood, induced_rows, min_degree2_subsets
+from .hamiltonicity import is_hc_obstruction
 
 DETECT_3PC_MAX_VERTICES = 20  # the subset walk is pruned, but up to 2^n on dense graphs
 CLASSIFY_MAX_VERTICES = 16  # bounded by the obstruction minimality check
@@ -142,19 +142,29 @@ class ClassificationRecord:
         }
 
 
-def classify(g: Graph) -> ClassificationRecord:
-    """Full per-graph verdict vector, each fact decided once: a recognized 3PC
-    needs no subset scan, and `hc_obstruction` reuses the other verdicts."""
-    if g.n > CLASSIFY_MAX_VERTICES:
-        raise TooLarge(f"classification capped at {CLASSIFY_MAX_VERTICES} vertices")
-    two_connected = is_two_connected(g)
-    cycle = _cycle_search(g.n, g.rows)
-    recognized = recognize_3pc(g)
+def classify_with(
+    g: Graph, recognized: Optional[ThreePcSpec], wheel_free: bool
+) -> ClassificationRecord:
+    """The record of G from the facts its caller has already decided: the
+    spec :func:`obstructa.families.recognize_3pc` gives G, and whether G is
+    wheel-free.  A recognized 3PC needs no subset scan.  The rest comes from
+    one :func:`obstructa.hamiltonicity.is_hc_obstruction` verdict: a graph
+    that is not 2-connected has no Hamiltonian cycle, so its failure reason
+    decides both 2-connectivity and Hamiltonicity."""
+    verdict = is_hc_obstruction(g)
     return ClassificationRecord(
-        two_connected=two_connected,
-        wheel_free=find_induced_wheel(g) is None,
+        two_connected=verdict.failure_reason != "NotTwoConnected",
+        wheel_free=wheel_free,
         contains_3pc=recognized is not None or find_induced_3pc(g) is not None,
-        hamiltonian=cycle is not None,
-        hc_obstruction=two_connected and cycle is None and first_nonminimal_subset(g.rows) is None,
+        hamiltonian=verdict.failure_reason == "Hamiltonian",
+        hc_obstruction=verdict.is_obstruction,
         recognized_3pc=recognized,
     )
+
+
+def classify(g: Graph) -> ClassificationRecord:
+    """Full per-graph verdict vector: the 3PC recognition and the wheel search,
+    then :func:`classify_with`, which the census survey shares."""
+    if g.n > CLASSIFY_MAX_VERTICES:
+        raise TooLarge(f"classification capped at {CLASSIFY_MAX_VERTICES} vertices")
+    return classify_with(g, recognize_3pc(g), find_induced_wheel(g) is None)

@@ -14,12 +14,16 @@ reasons:
 
 Output order is the sorted canonical forms, so two runs are byte-identical.
 
-The census classifies every representative and cross-checks, per vertex
-count, the two directions of the main characterization:
+The census classifies every representative and checks, class by class,
+the two directions of the main characterization:
 
 * every 2-connected wheel-free graph with no induced 3PC is Hamiltonian;
-* the wheel-free HC-obstructions are exactly the wheel-free 3PCs
-  (graph-by-graph, via canonical forms).
+* a 2-connected wheel-free graph is an HC-obstruction exactly when it is a
+  3PC.
+
+Each wheel-free 2-connected class gets the record ``check`` prints
+(:func:`obstructa.detectors.classify_with`), and the census counts its
+fields.
 
 Chorded pyramid variants are HC-obstructions but contain induced wheels
 (deleting the chorded path's internals leaves a short pyramid, which is a
@@ -39,8 +43,7 @@ from .canon import _canonical_search, canonical_rows, graph_from_canonical
 from .errors import InvalidJobCount, TooLarge
 from .families import family_tables, recognize_3pc
 from .graphs import Graph, bits, encode_graph6, is_two_connected
-from .hamiltonicity import _cycle_search, first_nonminimal_subset
-from .detectors import find_induced_wheel, scan_contains_family
+from .detectors import classify_with, find_induced_wheel
 
 ENUMERATION_MAX_VERTICES = 10
 
@@ -64,8 +67,14 @@ def resolve_jobs(jobs: Optional[int] = None) -> int:
     return jobs
 
 
-def _pool_starmap(fn: Callable, args: list[tuple], jobs: int) -> list:
-    """``fn(*a)`` for every ``a`` in ``args`` across ``jobs`` processes.
+def _map_chunks(fn: Callable, n: int, items: list, jobs: int) -> list:
+    """``[fn(n, items[i::jobs]) for i in range(jobs)]`` across ``jobs``
+    processes, or ``[fn(n, items)]`` in this process when there are at most
+    64 items per worker.  A pool round trip costs about 10 ms on 2 cores,
+    more than the whole stage below that size (the 34 parents of n = 6 take
+    16 ms to extend in one process) and less than half of it above (the
+    156 parents of n = 7 take 100 ms).  Callers merge the results by set
+    union and by sums, so the split never changes them.
 
     ``fork`` starts each worker as a copy of this process, so a pool (one
     per vertex count and stage) costs no interpreter start or package
@@ -73,10 +82,12 @@ def _pool_starmap(fn: Callable, args: list[tuple], jobs: int) -> list:
     pool, so a ``spawn`` context computes the same results, just slower to
     start; ``fork`` limits parallel runs to POSIX systems.
     """
+    if jobs == 1 or len(items) <= 64 * jobs:
+        return [fn(n, items)]
     import multiprocessing as mp
 
     with mp.get_context("fork").Pool(jobs) as pool:
-        return pool.starmap(fn, args)
+        return pool.starmap(fn, [(n, items[i::jobs]) for i in range(jobs)])
 
 
 def _child_forms(n_parent: int, parents: list[tuple[int, ...]]) -> set[bytes]:
@@ -165,15 +176,9 @@ def _child_forms(n_parent: int, parents: list[tuple[int, ...]]) -> set[bytes]:
 def _forms_for(n: int, jobs: int = 1) -> tuple[bytes, ...]:
     if n in _atlas:
         return _atlas[n]
-    parent_forms = _forms_for(n - 1, jobs)
-    parents = [graph_from_canonical(f).rows for f in parent_forms]
-    if jobs > 1 and len(parents) >= jobs:
-        parts = _pool_starmap(_child_forms, [(n - 1, parents[i::jobs]) for i in range(jobs)], jobs)
-        seen: set[bytes] = set()
-        for p in parts:
-            seen |= p
-    else:
-        seen = _child_forms(n - 1, parents)
+    parents = [graph_from_canonical(f).rows for f in _forms_for(n - 1, jobs)]
+    seen, *others = _map_chunks(_child_forms, n - 1, parents, jobs)
+    seen.update(*others)
     forms = tuple(sorted(seen))
     _atlas[n] = forms
     return forms
@@ -264,46 +269,44 @@ class CensusReport:
         return "\n".join(lines) + "\n"
 
 
-def _survey_chunk(n: int, forms: list[bytes]) -> tuple:
-    """Classify a chunk of canonical forms; returns partial counts and the
-    canonical forms needed for the cross-pipeline set comparisons."""
-    tables = family_tables(n)
-    sig_table = tables.get(n, (set(), {}))[0]
+def _survey_chunk(n: int, forms: list[bytes]) -> tuple[dict[str, int], list[bytes]]:
+    """Counts of a chunk of canonical forms, and its counterexamples.
+
+    The cheap gates come first: 2-connectivity, the degree-signature gate
+    before :func:`obstructa.families.recognize_3pc`, and the wheel search.
+    Each wheel-free 2-connected class then gets its
+    :func:`obstructa.detectors.classify_with` record, whose fields the
+    counts add up.  It is a counterexample when it is an HC-obstruction
+    exactly when it is not a 3PC, or when it has neither an induced 3PC nor
+    a Hamiltonian cycle.
+    """
+    sig_table = family_tables(n).get(n, (set(), {}))[0]
     counts = dict.fromkeys(_SURVEY_COLUMNS, 0)
-    obstruction_forms: list[bytes] = []
-    wheel_free_3pc_forms: list[bytes] = []
-    ham_violations: list[bytes] = []
+    counterexamples: list[bytes] = []
     for form in forms:
         g = graph_from_canonical(form)
-        rows = g.rows
-        if not is_two_connected(n, rows):
+        if not is_two_connected(g):
             continue
         counts["two_connected"] += 1
         recognized = recognize_3pc(g) if (g.edge_count, g.degree_sequence()) in sig_table else None
-        if recognized is not None:
-            counts["recognized_3pcs"] += 1
-        wheel_free = find_induced_wheel(g) is None
-        if not wheel_free:
+        is_3pc = recognized is not None
+        counts["recognized_3pcs"] += is_3pc
+        if find_induced_wheel(g) is not None:
             continue
+        rec = classify_with(g, recognized, True)
         counts["wheel_free_2conn"] += 1
-        if recognized is not None:
-            counts["wheel_free_3pcs"] += 1
-            wheel_free_3pc_forms.append(form)
-        ham = _cycle_search(n, rows) is not None
-        if recognized is None and not scan_contains_family(n, rows, tables):
-            counts["three_pc_free_among_those"] += 1
-            if ham:
-                counts["hamiltonian_among_those"] += 1
-            else:
-                ham_violations.append(form)
-        if not ham and first_nonminimal_subset(rows) is None:
-            counts["hc_obstructions_wheel_free"] += 1
-            obstruction_forms.append(form)
-    return counts, obstruction_forms, wheel_free_3pc_forms, ham_violations
+        counts["wheel_free_3pcs"] += is_3pc
+        counts["three_pc_free_among_those"] += not rec.contains_3pc
+        counts["hamiltonian_among_those"] += rec.hamiltonian and not rec.contains_3pc
+        counts["hc_obstructions_wheel_free"] += rec.hc_obstruction
+        if rec.hc_obstruction != is_3pc or not (rec.contains_3pc or rec.hamiltonian):
+            counterexamples.append(form)
+    return counts, counterexamples
 
 
 def verify_main_theorem(max_n: int, jobs: Optional[int] = None) -> CensusReport:
-    """Census plus counterexample collection for both theorem directions."""
+    """Census plus the graph6 of every counterexample to either theorem
+    direction, sorted."""
     if max_n > ENUMERATION_MAX_VERTICES:
         raise TooLarge(f"verification capped at {ENUMERATION_MAX_VERTICES} vertices")
     jobs = resolve_jobs(jobs)
@@ -311,24 +314,11 @@ def verify_main_theorem(max_n: int, jobs: Optional[int] = None) -> CensusReport:
     counterexamples: set[str] = set()
     for n in range(1, max_n + 1):
         forms = _forms_for(n, jobs)
-        if jobs > 1 and len(forms) > 4 * jobs:
-            parts = _pool_starmap(_survey_chunk, [(n, list(forms[i::jobs])) for i in range(jobs)], jobs)
-        else:
-            parts = [_survey_chunk(n, list(forms))]
         counts = dict.fromkeys(_SURVEY_COLUMNS, 0)
-        obstruction_forms: set[bytes] = set()
-        wheel_free_3pc_forms: set[bytes] = set()
-        ham_violations: set[bytes] = set()
-        for c, obs, wf3, hv in parts:
+        for part, bad in _map_chunks(_survey_chunk, n, list(forms), jobs):
             for column in _SURVEY_COLUMNS:
-                counts[column] += c[column]
-            obstruction_forms |= set(obs)
-            wheel_free_3pc_forms |= set(wf3)
-            ham_violations |= set(hv)
-        # Both directions are enforced rather than assumed: the census lists
-        # any violator as a counterexample.
-        for form in ham_violations | (obstruction_forms ^ wheel_free_3pc_forms):
-            counterexamples.add(encode_graph6(graph_from_canonical(form)))
+                counts[column] += part[column]
+            counterexamples.update(encode_graph6(graph_from_canonical(f)) for f in bad)
         rows.append(CensusRow(n=n, all=len(forms), **counts))
     return CensusReport(max_n, tuple(rows), tuple(sorted(counterexamples)))
 

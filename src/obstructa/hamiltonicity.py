@@ -147,23 +147,14 @@ class ObstructionVerdict:
     witness: Optional[Certificate] = None
 
 
-def first_nonminimal_subset(rows: tuple[int, ...]) -> Optional[tuple[int, ...]]:
-    """First proper induced subgraph on >= 3 vertices (size descending, then
-    lexicographic) that is 2-connected and non-Hamiltonian, or None, which
-    makes a 2-connected non-Hamiltonian graph an HC-obstruction.  Only the
-    subsets of the pruned :func:`obstructa.graphs.min_degree2_subsets` walk
-    can qualify; dense graphs still cost up to 2^n of them."""
-    for subset, _ in min_degree2_subsets(rows, range(len(rows) - 1, 2, -1)):
-        sub = induced_rows(rows, subset)
-        if is_two_connected(len(sub), sub) and _cycle_search(len(sub), sub) is None:
-            return subset
-    return None
-
-
 def is_hc_obstruction(g: Graph) -> ObstructionVerdict:
-    """Decide: 2-connected, non-Hamiltonian, and minimal with respect to that
-    (:func:`first_nonminimal_subset`).  Each failure carries a witness: the
-    least cut vertex, the Hamiltonian cycle, or the non-minimality subset."""
+    """The one obstruction decision: 2-connected, then non-Hamiltonian, then
+    minimal, meaning no proper induced subgraph on >= 3 vertices is
+    2-connected and non-Hamiltonian.  Only the subsets of the pruned
+    :func:`obstructa.graphs.min_degree2_subsets` walk (size descending, then
+    lexicographic) can break minimality; dense graphs still cost up to 2^n of
+    them.  Each failure carries a witness: the least cut vertex, the
+    Hamiltonian cycle, or the first subset that breaks minimality."""
     if g.n > OBSTRUCTION_MAX_VERTICES:
         raise TooLarge(f"obstruction check capped at {OBSTRUCTION_MAX_VERTICES} vertices")
     report = connectivity_report(g)
@@ -172,10 +163,12 @@ def is_hc_obstruction(g: Graph) -> ObstructionVerdict:
         if report.cut_vertices:
             witness = Certificate("CutVertex", (min(report.cut_vertices),))
         return ObstructionVerdict(False, "NotTwoConnected", witness)
-    cycle = _cycle_search(g.n, g.rows)
+    rows = g.rows
+    cycle = _cycle_search(g.n, rows)
     if cycle is not None:
         return ObstructionVerdict(False, "Hamiltonian", Certificate("HamCycle", cycle))
-    subset = first_nonminimal_subset(g.rows)
-    if subset is not None:
-        return ObstructionVerdict(False, "NonMinimal", Certificate("Embedding", subset))
+    for subset, _ in min_degree2_subsets(rows, range(g.n - 1, 2, -1)):
+        sub = induced_rows(rows, subset)
+        if is_two_connected(len(sub), sub) and _cycle_search(len(sub), sub) is None:
+            return ObstructionVerdict(False, "NonMinimal", Certificate("Embedding", subset))
     return ObstructionVerdict(True)

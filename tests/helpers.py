@@ -160,6 +160,25 @@ def two_connected_brute(g: Graph) -> bool:
     )
 
 
+def special_edges_brute(g: Graph) -> list[tuple[tuple[int, int], int]]:
+    """((u, v), w) for every edge uv whose deletion with its ends leaves the
+    graph disconnected with {w} a component and N(w) = {u, v}, from the
+    definition: components by repeated connectivity tests, in (u, v, w)
+    order."""
+    out = []
+    for u, v in itertools.combinations(range(g.n), 2):
+        if not g.has_edge(u, v):
+            continue
+        rest = [x for x in range(g.n) if x not in (u, v)]
+        if _connected_brute(g, rest):
+            continue
+        for w in rest:
+            alone = all(not g.has_edge(w, x) for x in rest)
+            if alone and set(g.neighbors(w)) == {u, v}:
+                out.append(((u, v), w))
+    return out
+
+
 def min_degree2_subsets_oracle(rows: tuple[int, ...], sizes):
     """(ascending vertex tuple, bitmask) of every vertex subset whose induced
     subgraph has minimum degree >= 2; sizes in the order given, then

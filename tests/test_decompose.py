@@ -113,6 +113,20 @@ class TestSpecialEdges:
                     assert g.rows[s.midpoint] == (1 << u | 1 << v)
 
 
+    def test_matches_definition_on_every_graph_to_n8(self, atlas8):
+        # the direct degree-2 test against components after deleting each
+        # edge, on all 7,661 2-connected classes at the default scale
+        checked = 0
+        for n in range(3, 9):
+            for g in atlas8[n]:
+                if not is_two_connected(g):
+                    continue
+                checked += 1
+                got = [(s.edge, s.midpoint) for s in find_special_edges(g)]
+                assert got == helpers.special_edges_brute(g), g
+        assert checked > 0
+
+
 class TestChordless:
     def test_trees_and_cycles(self):
         assert is_chordless(helpers.path(5))[0]

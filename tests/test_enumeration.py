@@ -1,13 +1,22 @@
+import dataclasses
 import json
 import math
 import os
 
 import networkx as nx
 import pytest
+from click.testing import CliRunner
 
 import helpers
 from obstructa import enumeration
-from obstructa.canon import _canonical_search, automorphism_count, canonical_form
+from obstructa.canon import (
+    _canonical_search,
+    automorphism_count,
+    canonical_form,
+    graph_from_canonical,
+)
+from obstructa.cli import EXIT_COUNTEREXAMPLE, main
+from obstructa.detectors import classify
 from obstructa.enumeration import (
     CensusReport,
     census,
@@ -15,7 +24,7 @@ from obstructa.enumeration import (
     verify_main_theorem,
 )
 from obstructa.errors import InvalidJobCount, TooLarge
-from obstructa.graphs import graph_from_edges, is_two_connected
+from obstructa.graphs import encode_graph6, graph_from_edges, is_two_connected
 
 KNOWN_CLASS_COUNTS = {0: 1, 1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044, 8: 12346}
 KNOWN_TWO_CONNECTED = {1: 0, 2: 0, 3: 1, 4: 3, 5: 10, 6: 56, 7: 468, 8: 7123}
@@ -156,6 +165,46 @@ class TestCensus:
             assert r.hc_obstructions_wheel_free == r.wheel_free_3pcs
             assert r.three_pc_free_among_those == r.hamiltonian_among_those
 
+    def test_rows_count_the_classify_records(self, atlas8):
+        # the survey's gates never change a fact: each row is a count of the
+        # records check prints, over every class of that size
+        rows = census(7).rows
+        for r in rows:
+            recs = [classify(g) for g in atlas8[r.n]]
+            kept = [x for x in recs if x.two_connected and x.wheel_free]
+            assert r == enumeration.CensusRow(
+                n=r.n,
+                all=len(recs),
+                two_connected=sum(x.two_connected for x in recs),
+                wheel_free_2conn=len(kept),
+                three_pc_free_among_those=sum(not x.contains_3pc for x in kept),
+                hamiltonian_among_those=sum(x.hamiltonian and not x.contains_3pc for x in kept),
+                hc_obstructions_wheel_free=sum(x.hc_obstruction for x in kept),
+                recognized_3pcs=sum(x.recognized_3pc is not None for x in recs),
+                wheel_free_3pcs=sum(x.recognized_3pc is not None for x in kept),
+            )
+
+    def test_counterexamples_reported(self, monkeypatch):
+        # K_{2,3} loses its obstruction verdict (3PC side) and C5 its
+        # Hamiltonian cycle (3PC-free side); each must come back as a
+        # counterexample, and verify must exit 1
+        broken = {
+            canonical_form(helpers.complete_bipartite(2, 3)): {"hc_obstruction": False},
+            canonical_form(helpers.cycle(5)): {"hamiltonian": False},
+        }
+        real = enumeration.classify_with
+
+        def classify_with(g, recognized, wheel_free):
+            rec = real(g, recognized, wheel_free)
+            return dataclasses.replace(rec, **broken.get(canonical_form(g), {}))
+
+        monkeypatch.setattr(enumeration, "classify_with", classify_with)
+        expected = tuple(sorted(encode_graph6(graph_from_canonical(f)) for f in broken))
+        assert verify_main_theorem(6, jobs=1).counterexamples == expected
+        res = CliRunner().invoke(main, ["verify", "--max-n", "5", "--jobs", "1"])
+        assert res.exit_code == EXIT_COUNTEREXAMPLE
+        assert json.loads(res.output)["counterexamples"] == list(expected)
+
     def test_too_large(self):
         with pytest.raises(TooLarge):
             census(11)
@@ -207,7 +256,7 @@ class TestReportFormats:
 
     def test_parallel_generation_agrees_with_serial(self, monkeypatch):
         # the module atlas caches generated forms, so drop n > 5 to make the
-        # jobs=2 run generate n = 6, 7 in the worker pool
+        # jobs=2 run generate n = 6 in this process and n = 7 in the worker pool
         serial = verify_main_theorem(7, jobs=1).to_json()
         forms7 = enumeration._atlas[7]
         monkeypatch.setattr(
