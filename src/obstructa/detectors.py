@@ -12,7 +12,7 @@ the canonical family tables.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional, Sequence
 
 from .canon import canonical_rows
 from .errors import TooLarge
@@ -29,37 +29,56 @@ CLASSIFY_MAX_VERTICES = 16  # bounded by the obstruction minimality check
 # ---------------------------------------------------------------------------
 
 
+def induced_cycles(
+    rows: Sequence[int], anchor: int, cand: int
+) -> Iterator[tuple[list[int], int]]:
+    """Every induced cycle through ``anchor`` whose other vertices lie in
+    ``cand``, as (vertex list from the anchor, vertex mask), each once with
+    orientation cycle[1] < cycle[-1].  One DFS, neighbours ascending: the path
+    grows only by vertices not adjacent to any earlier path vertex but the
+    last, and a vertex adjacent to the anchor can only close the cycle."""
+    return _extend_cycle(rows, [anchor], 1 << anchor, cand)
+
+
+def _extend_cycle(
+    rows: Sequence[int], path: list[int], on: int, cand: int
+) -> Iterator[tuple[list[int], int]]:
+    last = path[-1]
+    anchor_bit = 1 << path[0]
+    first = len(path) == 1
+    for w in bits(rows[last] & cand):
+        wbit = 1 << w
+        if not first and rows[w] & anchor_bit:
+            if path[1] < w:
+                yield path + [w], on | wbit
+            continue
+        nxt = cand & ~wbit if first else cand & ~rows[last] & ~wbit
+        yield from _extend_cycle(rows, path + [w], on | wbit, nxt)
+
+
+def find_wheel_through(
+    rows: Sequence[int], anchor: int, cand: int
+) -> Optional[tuple[int, tuple[int, ...]]]:
+    """First (hub, rim) with the rim one of :func:`induced_cycles` through
+    ``anchor`` and the hub the least vertex off the rim with >= 3 rim
+    neighbors."""
+    full = (1 << len(rows)) - 1
+    for cycle, rim in induced_cycles(rows, anchor, cand):
+        for hub in bits(full & ~rim):
+            if (rows[hub] & rim).bit_count() >= 3:
+                return hub, tuple(cycle)
+    return None
+
+
 def find_induced_wheel(g: Graph) -> Optional[tuple[int, tuple[int, ...]]]:
     """First (hub, rim) with the rim an induced cycle of G and the hub the least
-    vertex off the rim with >= 3 rim neighbors.  Rims come from one induced-
-    cycle DFS anchored at the least rim vertex (anchors ascending), neighbors
-    ascending, orientation fixed by rim[1] < rim[-1].
+    vertex off the rim with >= 3 rim neighbors.  Rims come from
+    :func:`induced_cycles` anchored at the least rim vertex, anchors
+    ascending.
     """
-    n, rows = g.n, g.rows
     full = g.vertex_mask
-
-    def dfs(path: list[int], on: int, cand: int) -> Optional[tuple[int, tuple[int, ...]]]:
-        last = path[-1]
-        anchor_bit = 1 << path[0]
-        first = len(path) == 1
-        for w in bits(rows[last] & cand):
-            wbit = 1 << w
-            if not first and rows[w] & anchor_bit:
-                # anchor-adjacent vertices can only close the cycle
-                if path[1] < w:
-                    rim = on | wbit
-                    for hub in bits(full & ~rim):
-                        if (rows[hub] & rim).bit_count() >= 3:
-                            return hub, tuple(path) + (w,)
-                continue
-            nxt = cand & ~wbit if first else cand & ~rows[last] & ~wbit
-            got = dfs(path + [w], on | wbit, nxt)
-            if got is not None:
-                return got
-        return None
-
-    for anchor in range(n):
-        got = dfs([anchor], 1 << anchor, full & ~((1 << (anchor + 1)) - 1))
+    for anchor in range(g.n):
+        got = find_wheel_through(g.rows, anchor, full & ~((2 << anchor) - 1))
         if got is not None:
             return got
     return None

@@ -14,7 +14,18 @@ reasons:
 
 Output order is the sorted canonical forms, so two runs are byte-identical.
 
-The census classifies every representative and checks, class by class,
+Each new class also gets two facts, decided from its parent P and the new
+vertex's mask M when its form is first seen, and kept with the forms:
+
+* 2-connected: P is connected, |M| >= 2, and M meets every component of
+  P - c for every cut vertex c of P, since G - v = P, P - u stays connected
+  for a non-cut vertex u, and v joins the components of P - c;
+* wheel-free: P is wheel-free (the property is hereditary, so every wheel of
+  the child contains the new vertex), M has at most two vertices on every
+  induced cycle of P (no hub), and no induced cycle through the new vertex
+  has a vertex off it with >= 3 neighbours on it (no rim).
+
+The census surveys the 2-connected classes and checks, class by class,
 the two directions of the main characterization:
 
 * every 2-connected wheel-free graph with no induced 3PC is Hamiltonian;
@@ -42,12 +53,17 @@ from typing import Callable, Iterator, Optional
 from .canon import _canonical_search, canonical_rows, graph_from_canonical
 from .errors import InvalidJobCount, TooLarge
 from .families import family_tables, recognize_3pc
-from .graphs import Graph, bits, encode_graph6, is_two_connected
-from .detectors import classify_with, find_induced_wheel
+from .graphs import Graph, _cut_vertices, bits, component_masks, encode_graph6, flood
+from .detectors import classify_with, find_wheel_through, induced_cycles
 
-ENUMERATION_MAX_VERTICES = 10
+ENUMERATION_MAX_VERTICES = 9
 
-_atlas: dict[int, tuple[bytes, ...]] = {0: (bytes([0]),)}
+# the facts byte of a class
+TWO_CONNECTED = 1
+WHEEL_FREE = 2
+
+# n -> (sorted canonical forms, one facts byte per form)
+_atlas: dict[int, tuple[tuple[bytes, ...], bytes]] = {0: ((bytes([0]),), bytes([WHEEL_FREE]))}
 
 
 def resolve_jobs(jobs: Optional[int] = None) -> int:
@@ -73,8 +89,10 @@ def _map_chunks(fn: Callable, n: int, items: list, jobs: int) -> list:
     64 items per worker.  A pool round trip costs about 10 ms on 2 cores,
     more than the whole stage below that size (the 34 parents of n = 6 take
     16 ms to extend in one process) and less than half of it above (the
-    156 parents of n = 7 take 100 ms).  Callers merge the results by set
-    union and by sums, so the split never changes them.
+    156 parents of n = 7 take 100 ms).  The survey gets only the
+    2-connected classes, so the count is of classes it works on.  Callers
+    merge the results by dict union and by sums, so the split never changes
+    them.
 
     ``fork`` starts each worker as a copy of this process, so a pool (one
     per vertex count and stage) costs no interpreter start or package
@@ -90,10 +108,44 @@ def _map_chunks(fn: Callable, n: int, items: list, jobs: int) -> list:
         return pool.starmap(fn, [(n, items[i::jobs]) for i in range(jobs)])
 
 
-def _child_forms(n_parent: int, parents: list[tuple[int, ...]]) -> set[bytes]:
-    """Canonical forms of the one-vertex extensions of the given parents, one
-    per automorphism orbit of masks, in which the new vertex maximizes
-    (degree, sorted neighbour degrees).
+def _extension_facts(rows: tuple[int, ...], facts: int) -> Callable[[int, list[int]], int]:
+    """For a parent P with these rows and facts byte, the facts byte of the
+    child P + v as a function of v's neighbour mask M and the child's rows
+    (P's vertices first, then v), by the two rules in :func:`_child_forms`.
+    The cut-vertex components and the induced cycles of P are found once."""
+    n_parent = len(rows)
+    pmask = (1 << n_parent) - 1
+    # the components M must meet, or None when no child is 2-connected
+    comps = None
+    if n_parent >= 2 and flood(rows, 1, pmask) == pmask:
+        cut = _cut_vertices(n_parent, rows)
+        comps = [c for x in bits(cut) for c in component_masks(rows, pmask & ~(1 << x))]
+    # the parent's induced cycles, or None when every child has a wheel
+    cycles = None
+    if facts & WHEEL_FREE:
+        cycles = [
+            rim
+            for a in range(n_parent)
+            for _, rim in induced_cycles(rows, a, pmask & ~((2 << a) - 1))
+        ]
+
+    def facts_of(mask: int, child: list[int]) -> int:
+        two_connected = comps is not None and mask.bit_count() >= 2 and all(mask & c for c in comps)
+        wheel_free = (
+            cycles is not None
+            and all((mask & c).bit_count() < 3 for c in cycles)
+            and find_wheel_through(child, n_parent, pmask) is None
+        )
+        return two_connected * TWO_CONNECTED | wheel_free * WHEEL_FREE
+
+    return facts_of
+
+
+def _child_forms(n_parent: int, parents: list[tuple[tuple[int, ...], int]]) -> dict[bytes, int]:
+    """Canonical forms of the one-vertex extensions of the given parents
+    (rows and facts byte), one per automorphism orbit of masks, in which the
+    new vertex maximizes (degree, sorted neighbour degrees), each with its
+    facts byte.
 
     For each degree ``d`` from the parent's maximum degree to ``n_parent``,
     the walk takes every ``d``-subset of the vertices of degree below ``d``:
@@ -121,8 +173,25 @@ def _child_forms(n_parent: int, parents: list[tuple[int, ...]]) -> set[bytes]:
     isomorphic to G with v as the new vertex; so that mask passes the
     degree and neighbour-degree rules, and the first mask of its orbit is
     labeled and gives a child isomorphic to it.
+
+    A form's facts byte comes from :func:`_extension_facts` when the form
+    is first seen; the facts are properties of the class, so any parent
+    that reaches it gives the same byte.  Both rules are exact:
+
+    * G = P + v is 2-connected exactly when it has n >= 3 vertices, P is
+      connected, |M| >= 2, and M meets every component of P - c for every
+      cut vertex c of P.  G - v is P.  For a vertex u of P, G - u is P - u
+      with v joined to M - u: when u is no cut vertex of P it is connected,
+      since |M| >= 2 leaves v a neighbour, and when u is one it is connected
+      exactly when M meets every component of P - u.
+    * G is wheel-free exactly when P is, v is no hub and v is on no rim.
+      Wheel-freeness is hereditary, so every wheel of a child of a
+      wheel-free parent contains v.  v is the hub of one exactly when M has
+      three vertices on an induced cycle of P, and on its rim exactly when
+      some induced cycle of G through v has a vertex off it with >= 3
+      neighbours on it.
     """
-    seen: set[bytes] = set()
+    seen: dict[bytes, int] = {}
     newbit = n_parent
     n = n_parent + 1
     width = (n + 7) // 8
@@ -130,13 +199,14 @@ def _child_forms(n_parent: int, parents: list[tuple[int, ...]]) -> set[bytes]:
     shift = n.bit_length()
     digit = [1 << shift * (n - x) for x in range(n + 1)]
     bit = [1 << u for u in range(n)]
-    for rows in parents:
+    for rows, facts in parents:
         deg = [r.bit_count() for r in rows]
         adj = [list(bits(r)) for r in rows]
         key = [sum([digit[deg[x]] for x in a]) for a in adj]
         up = [digit[x + 1] for x in deg]
         delta = [digit[x + 1] - digit[x] for x in deg]
         gens = [(p, [1 << q for q in p]) for p in _canonical_search(n_parent, rows)[2]]
+        facts_of = _extension_facts(rows, facts)
         done: set[int] = set()
         for d in range(max(deg, default=0), n):
             below = [u for u in range(n_parent) if deg[u] < d]
@@ -168,20 +238,28 @@ def _child_forms(n_parent: int, parents: list[tuple[int, ...]]) -> set[bytes]:
                 child = [r | (mask >> i & 1) << newbit for i, r in enumerate(rows)]
                 child.append(mask)
                 crows = canonical_rows(n, tuple(child))
-                form = head + b"".join(r.to_bytes(width, "little") for r in crows)
-                seen.add(form)
+                if width == 1:
+                    form = head + bytes(crows)
+                else:
+                    form = head + b"".join(r.to_bytes(width, "little") for r in crows)
+                if form not in seen:
+                    seen[form] = facts_of(mask, child)
     return seen
 
 
-def _forms_for(n: int, jobs: int = 1) -> tuple[bytes, ...]:
+def _forms_for(n: int, jobs: int = 1) -> tuple[tuple[bytes, ...], bytes]:
+    """The sorted canonical forms of the classes on ``n`` vertices, and one
+    facts byte (``TWO_CONNECTED | WHEEL_FREE`` bits) per form."""
     if n in _atlas:
         return _atlas[n]
-    parents = [graph_from_canonical(f).rows for f in _forms_for(n - 1, jobs)]
+    forms, facts = _forms_for(n - 1, jobs)
+    parents = [(graph_from_canonical(f).rows, x) for f, x in zip(forms, facts)]
     seen, *others = _map_chunks(_child_forms, n - 1, parents, jobs)
-    seen.update(*others)
+    for other in others:
+        seen.update(other)
     forms = tuple(sorted(seen))
-    _atlas[n] = forms
-    return forms
+    _atlas[n] = forms, bytes(seen[f] for f in forms)
+    return _atlas[n]
 
 
 def enumerate_graphs(
@@ -200,7 +278,7 @@ def enumerate_graphs(
     jobs = resolve_jobs(jobs)
 
     def representatives() -> Iterator[Graph]:
-        for form in _forms_for(n, jobs):
+        for form in _forms_for(n, jobs)[0]:
             g = graph_from_canonical(form)
             if predicate is None or predicate(g):
                 yield g
@@ -230,7 +308,7 @@ class CensusRow:
 
 
 CSV_COLUMNS = tuple(f.name for f in fields(CensusRow))
-_SURVEY_COLUMNS = CSV_COLUMNS[2:]  # counted per class; "n" and "all" are not
+_SURVEY_COLUMNS = CSV_COLUMNS[3:]  # counted per class; the atlas gives the rest
 
 
 @dataclass(frozen=True, slots=True)
@@ -269,29 +347,26 @@ class CensusReport:
         return "\n".join(lines) + "\n"
 
 
-def _survey_chunk(n: int, forms: list[bytes]) -> tuple[dict[str, int], list[bytes]]:
-    """Counts of a chunk of canonical forms, and its counterexamples.
+def _survey_chunk(n: int, classes: list[tuple[bytes, bool]]) -> tuple[dict[str, int], list[bytes]]:
+    """Counts of a chunk of 2-connected classes, given as (canonical form,
+    wheel-free), and its counterexamples.
 
-    The cheap gates come first: 2-connectivity, the degree-signature gate
-    before :func:`obstructa.families.recognize_3pc`, and the wheel search.
-    Each wheel-free 2-connected class then gets its
-    :func:`obstructa.detectors.classify_with` record, whose fields the
-    counts add up.  It is a counterexample when it is an HC-obstruction
+    The degree-signature gate comes before
+    :func:`obstructa.families.recognize_3pc`.  Each wheel-free class then
+    gets its :func:`obstructa.detectors.classify_with` record, whose fields
+    the counts add up.  It is a counterexample when it is an HC-obstruction
     exactly when it is not a 3PC, or when it has neither an induced 3PC nor
     a Hamiltonian cycle.
     """
     sig_table = family_tables(n).get(n, (set(), {}))[0]
     counts = dict.fromkeys(_SURVEY_COLUMNS, 0)
     counterexamples: list[bytes] = []
-    for form in forms:
+    for form, wheel_free in classes:
         g = graph_from_canonical(form)
-        if not is_two_connected(g):
-            continue
-        counts["two_connected"] += 1
         recognized = recognize_3pc(g) if (g.edge_count, g.degree_sequence()) in sig_table else None
         is_3pc = recognized is not None
         counts["recognized_3pcs"] += is_3pc
-        if find_induced_wheel(g) is not None:
+        if not wheel_free:
             continue
         rec = classify_with(g, recognized, True)
         counts["wheel_free_2conn"] += 1
@@ -306,20 +381,22 @@ def _survey_chunk(n: int, forms: list[bytes]) -> tuple[dict[str, int], list[byte
 
 def verify_main_theorem(max_n: int, jobs: Optional[int] = None) -> CensusReport:
     """Census plus the graph6 of every counterexample to either theorem
-    direction, sorted."""
+    direction, sorted.  Only the 2-connected classes are surveyed, each with
+    its wheel fact from the atlas."""
     if max_n > ENUMERATION_MAX_VERTICES:
         raise TooLarge(f"verification capped at {ENUMERATION_MAX_VERTICES} vertices")
     jobs = resolve_jobs(jobs)
     rows = []
     counterexamples: set[str] = set()
     for n in range(1, max_n + 1):
-        forms = _forms_for(n, jobs)
+        forms, facts = _forms_for(n, jobs)
+        classes = [(f, bool(x & WHEEL_FREE)) for f, x in zip(forms, facts) if x & TWO_CONNECTED]
         counts = dict.fromkeys(_SURVEY_COLUMNS, 0)
-        for part, bad in _map_chunks(_survey_chunk, n, list(forms), jobs):
+        for part, bad in _map_chunks(_survey_chunk, n, classes, jobs):
             for column in _SURVEY_COLUMNS:
                 counts[column] += part[column]
             counterexamples.update(encode_graph6(graph_from_canonical(f)) for f in bad)
-        rows.append(CensusRow(n=n, all=len(forms), **counts))
+        rows.append(CensusRow(n=n, all=len(forms), two_connected=len(classes), **counts))
     return CensusReport(max_n, tuple(rows), tuple(sorted(counterexamples)))
 
 

@@ -165,7 +165,11 @@ class TestVerifyAndCensus:
         assert lines[5].startswith("5,34,10,")
 
     def test_verify_too_large_exit_3(self):
-        assert run("verify", "--max-n", "12").exit_code == 3
+        # full generation is capped at 9 vertices; the cap is checked first
+        for command in ("verify", "census"):
+            res = run(command, "--max-n", "10")
+            assert res.exit_code == 3, res.output
+            assert res.output.strip() == "error: verification capped at 9 vertices"
 
     def test_census_text(self):
         res = run("census", "--max-n", "4", "--format", "text")

@@ -1,14 +1,16 @@
+import collections
 import dataclasses
 import json
 import math
 import os
+import sys
 
 import networkx as nx
 import pytest
 from click.testing import CliRunner
 
 import helpers
-from obstructa import enumeration
+from obstructa import detectors, enumeration, graphs
 from obstructa.canon import (
     _canonical_search,
     automorphism_count,
@@ -16,7 +18,7 @@ from obstructa.canon import (
     graph_from_canonical,
 )
 from obstructa.cli import EXIT_COUNTEREXAMPLE, main
-from obstructa.detectors import classify
+from obstructa.detectors import classify, find_induced_wheel
 from obstructa.enumeration import (
     CensusReport,
     census,
@@ -24,7 +26,7 @@ from obstructa.enumeration import (
     verify_main_theorem,
 )
 from obstructa.errors import InvalidJobCount, TooLarge
-from obstructa.graphs import encode_graph6, graph_from_edges, is_two_connected
+from obstructa.graphs import Graph, encode_graph6, graph_from_edges, is_two_connected
 
 KNOWN_CLASS_COUNTS = {0: 1, 1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044, 8: 12346}
 KNOWN_TWO_CONNECTED = {1: 0, 2: 0, 3: 1, 4: 3, 5: 10, 6: 56, 7: 468, 8: 7123}
@@ -69,7 +71,7 @@ class TestGeneration:
 
     def test_too_large(self):
         with pytest.raises(TooLarge):
-            list(enumerate_graphs(11))
+            list(enumerate_graphs(10))
 
     def test_labelings_per_n(self, monkeypatch):
         # one child per automorphism orbit of masks is labeled, and only where
@@ -86,7 +88,7 @@ class TestGeneration:
             return canonical_rows(n, rows)
 
         monkeypatch.setattr(enumeration, "canonical_rows", counting)
-        monkeypatch.setattr(enumeration, "_atlas", {0: (bytes([0]),)})
+        monkeypatch.setattr(enumeration, "_atlas", {0: enumeration._atlas[0]})
         per_n = []
         for n in range(1, 8):
             before = calls[0]
@@ -105,9 +107,38 @@ class TestGeneration:
         for n in range(min(7, max(atlas8)) + 1):
             for g in atlas8[n]:
                 labeled.clear()
-                enumeration._child_forms(n, [g.rows])
+                enumeration._child_forms(n, [(g.rows, 0)])
                 gens = _canonical_search(n, g.rows)[2]
                 assert labeled == helpers.labeled_masks_reference(n, g.rows, gens), g
+
+    def test_facts_match_direct_tests(self, atlas8):
+        # the facts generation decides from each parent equal the direct
+        # tests on every class with n <= 8
+        for n, classes in atlas8.items():
+            facts = enumeration._forms_for(n)[1]
+            assert [is_two_connected(g) for g in classes] == [
+                bool(x & enumeration.TWO_CONNECTED) for x in facts
+            ], n
+            assert [find_induced_wheel(g) is None for g in classes] == [
+                bool(x & enumeration.WHEEL_FREE) for x in facts
+            ], n
+
+    def test_fact_rules_on_every_mask(self, atlas8):
+        # the rules hold for every extension of every parent with n <= 6, not
+        # only the ones generation labels; generation labels no one-vertex
+        # mask on a connected parent of two or more vertices (the new vertex
+        # has the maximum degree), so only these cases test |M| >= 2
+        for n in range(min(7, max(atlas8) + 1)):
+            for g, x in zip(atlas8[n], enumeration._forms_for(n)[1]):
+                facts_of = enumeration._extension_facts(g.rows, x)
+                for mask in range(1 << n):
+                    child = [r | (mask >> i & 1) << n for i, r in enumerate(g.rows)] + [mask]
+                    h = Graph(n + 1, tuple(child))
+                    want = (
+                        is_two_connected(h) * enumeration.TWO_CONNECTED
+                        | (find_induced_wheel(h) is None) * enumeration.WHEEL_FREE
+                    )
+                    assert facts_of(mask, child) == want, (g, mask)
 
     def test_matches_networkx_graph_atlas(self):
         # independent completeness oracle: the networkx atlas of all 1,253
@@ -130,7 +161,7 @@ class TestGeneration:
     def test_caps_checked_at_call_time(self, monkeypatch):
         # no next(): the checks run when the iterator is built
         with pytest.raises(TooLarge):
-            enumerate_graphs(11)
+            enumerate_graphs(10)
         with pytest.raises(TooLarge):
             enumerate_graphs(-1)
         monkeypatch.setenv("OBSTRUCTA_JOBS", "abc")
@@ -184,6 +215,35 @@ class TestCensus:
                 wheel_free_3pcs=sum(x.recognized_3pc is not None for x in kept),
             )
 
+    def test_survey_reads_facts(self, monkeypatch):
+        # the survey tests no class for 2-connectivity or wheels: no
+        # whole-graph is_two_connected or find_induced_wheel call, generation
+        # included, and one classify_with record per wheel-free 2-connected
+        # class (is_hc_obstruction still tests subsets for minimality)
+        calls = collections.Counter()
+
+        def counting(name, fn):
+            def wrapper(*args):
+                calls[name] += isinstance(args[0], Graph)
+                return fn(*args)
+
+            return wrapper
+
+        originals = {
+            "is_two_connected": graphs.is_two_connected,
+            "find_induced_wheel": detectors.find_induced_wheel,
+            "classify_with": detectors.classify_with,
+        }
+        for module in [m for key, m in sys.modules.items() if key.startswith("obstructa")]:
+            for name, fn in originals.items():
+                if getattr(module, name, None) is fn:
+                    monkeypatch.setattr(module, name, counting(name, fn))
+        monkeypatch.setattr(enumeration, "_atlas", {0: enumeration._atlas[0]})
+        rows = verify_main_theorem(7, jobs=1).rows
+        assert calls["is_two_connected"] == 0
+        assert calls["find_induced_wheel"] == 0
+        assert calls["classify_with"] == sum(r.wheel_free_2conn for r in rows) == 91
+
     def test_counterexamples_reported(self, monkeypatch):
         # K_{2,3} loses its obstruction verdict (3PC side) and C5 its
         # Hamiltonian cycle (3PC-free side); each must come back as a
@@ -206,10 +266,11 @@ class TestCensus:
         assert json.loads(res.output)["counterexamples"] == list(expected)
 
     def test_too_large(self):
+        # full generation is capped at 9: n = 10 has 12,005,168 classes
         with pytest.raises(TooLarge):
-            census(11)
+            census(10)
         with pytest.raises(TooLarge):
-            verify_main_theorem(12)
+            verify_main_theorem(10)
 
 
 class TestReportFormats:
@@ -257,13 +318,14 @@ class TestReportFormats:
     def test_parallel_generation_agrees_with_serial(self, monkeypatch):
         # the module atlas caches generated forms, so drop n > 5 to make the
         # jobs=2 run generate n = 6 in this process and n = 7 in the worker pool
+        # and its facts; both must equal the serial forms and facts
         serial = verify_main_theorem(7, jobs=1).to_json()
-        forms7 = enumeration._atlas[7]
+        level7 = enumeration._atlas[7]
         monkeypatch.setattr(
             enumeration, "_atlas", {n: f for n, f in enumeration._atlas.items() if n <= 5}
         )
         parallel = verify_main_theorem(7, jobs=2).to_json()
-        assert enumeration._atlas[7] == forms7
+        assert enumeration._atlas[7] == level7
         assert parallel.encode() == serial.encode()
 
 

@@ -8,9 +8,9 @@ these bytes unchanged.  Regenerate only for an intended output change:
     python -m obstructa.cli verify --max-n 9 --format csv > tests/golden/verify-9.csv
 
 ``forms-9.sha256`` has one line ``n classes sha256`` per n = 0..9, the hash
-taken over the concatenated sorted forms of ``enumeration._forms_for(n)``:
+taken over the concatenated sorted forms ``enumeration._forms_for(n)`` returns:
 
-    python -c "import hashlib; from obstructa.enumeration import _forms_for as f; [print(n, len(f(n)), hashlib.sha256(b''.join(f(n))).hexdigest()) for n in range(10)]" > tests/golden/forms-9.sha256
+    python -c "import hashlib; from obstructa.enumeration import _forms_for as f; [print(n, len(f(n)[0]), hashlib.sha256(b''.join(f(n)[0])).hexdigest()) for n in range(10)]" > tests/golden/forms-9.sha256
 """
 
 import hashlib
@@ -41,6 +41,6 @@ def test_forms_match_golden_hashes():
     the class counts the reports carry."""
     golden = (GOLDEN / "forms-9.sha256").read_text().splitlines()
     for n in range(ATLAS_MAX_N + 1):
-        forms = enumeration._forms_for(n)
+        forms, _ = enumeration._forms_for(n)
         got = f"{n} {len(forms)} {hashlib.sha256(b''.join(forms)).hexdigest()}"
         assert got == golden[n]
