@@ -25,34 +25,34 @@ vertex's mask M when its form is first seen, and kept with the forms:
   induced cycle of P (no hub), and no induced cycle through the new vertex
   has a vertex off it with >= 3 neighbours on it (no rim).
 
-The census surveys the 2-connected classes and checks, class by class,
-the two directions of the main characterization:
+The census surveys the wheel-free 2-connected classes and checks, class by
+class, the two directions of the main characterization:
 
 * every 2-connected wheel-free graph with no induced 3PC is Hamiltonian;
 * a 2-connected wheel-free graph is an HC-obstruction exactly when it is a
   3PC.
 
-Each wheel-free 2-connected class gets the record ``check`` prints
-(:func:`obstructa.detectors.classify_with`), and the census counts its
-fields.
+Each surveyed class gets the record ``check`` prints
+(:func:`obstructa.detectors.classify_with`), and the census counts its fields.
 
 Chorded pyramid variants are HC-obstructions but contain induced wheels
 (deleting the chorded path's internals leaves a short pyramid, which is a
 wheel under the inclusive convention), so the comparison restricts the 3PC
-side to its wheel-free members; the census still tabulates all recognized
-3PCs separately.
+side to its wheel-free members.  The census still tabulates all 3PCs as the
+number of canonical specs on n vertices, which are pairwise non-isomorphic.
 """
 
 from __future__ import annotations
 
 import os
+from collections import Counter
 from dataclasses import asdict, dataclass, fields, replace
 from itertools import combinations
 from typing import Callable, Iterator, Optional
 
 from .canon import _canonical_search, canonical_rows, graph_from_canonical
 from .errors import InvalidJobCount, TooLarge
-from .families import family_tables, recognize_3pc
+from .families import recognize_3pc, specs_with_vertex_count
 from .graphs import Graph, _cut_vertices, bits, component_masks, encode_graph6, flood
 from .detectors import classify_with, find_wheel_through, induced_cycles
 
@@ -83,13 +83,13 @@ def resolve_jobs(jobs: Optional[int] = None) -> int:
     return jobs
 
 
-def _map_chunks(fn: Callable, n: int, items: list, jobs: int) -> list:
-    """``[fn(n, items[i::jobs]) for i in range(jobs)]`` across ``jobs``
-    processes, or ``[fn(n, items)]`` in this process when there are at most
+def _map_chunks(fn: Callable, items: list, jobs: int) -> list:
+    """``[fn(items[i::jobs]) for i in range(jobs)]`` across ``jobs``
+    processes, or ``[fn(items)]`` in this process when there are at most
     64 items per worker.  A pool round trip costs about 10 ms on 2 cores,
     more than the whole stage below that size (the 34 parents of n = 6 take
     16 ms to extend in one process) and less than half of it above (the
-    156 parents of n = 7 take 100 ms).  The survey gets only the
+    156 parents of n = 7 take 100 ms).  The survey gets only the wheel-free
     2-connected classes, so the count is of classes it works on.  Callers
     merge the results by dict union and by sums, so the split never changes
     them.
@@ -101,11 +101,11 @@ def _map_chunks(fn: Callable, n: int, items: list, jobs: int) -> list:
     start; ``fork`` limits parallel runs to POSIX systems.
     """
     if jobs == 1 or len(items) <= 64 * jobs:
-        return [fn(n, items)]
+        return [fn(items)]
     import multiprocessing as mp
 
     with mp.get_context("fork").Pool(jobs) as pool:
-        return pool.starmap(fn, [(n, items[i::jobs]) for i in range(jobs)])
+        return pool.map(fn, [items[i::jobs] for i in range(jobs)])
 
 
 def _extension_facts(rows: tuple[int, ...], facts: int) -> Callable[[int, list[int]], int]:
@@ -141,11 +141,11 @@ def _extension_facts(rows: tuple[int, ...], facts: int) -> Callable[[int, list[i
     return facts_of
 
 
-def _child_forms(n_parent: int, parents: list[tuple[tuple[int, ...], int]]) -> dict[bytes, int]:
+def _child_forms(parents: list[tuple[tuple[int, ...], int]]) -> dict[bytes, int]:
     """Canonical forms of the one-vertex extensions of the given parents
-    (rows and facts byte), one per automorphism orbit of masks, in which the
-    new vertex maximizes (degree, sorted neighbour degrees), each with its
-    facts byte.
+    (rows and facts byte, all of one size), one per automorphism orbit of
+    masks, in which the new vertex maximizes (degree, sorted neighbour
+    degrees), each with its facts byte.
 
     For each degree ``d`` from the parent's maximum degree to ``n_parent``,
     the walk takes every ``d``-subset of the vertices of degree below ``d``:
@@ -192,6 +192,7 @@ def _child_forms(n_parent: int, parents: list[tuple[tuple[int, ...], int]]) -> d
       neighbours on it.
     """
     seen: dict[bytes, int] = {}
+    n_parent = len(parents[0][0]) if parents else 0
     newbit = n_parent
     n = n_parent + 1
     width = (n + 7) // 8
@@ -254,12 +255,19 @@ def _forms_for(n: int, jobs: int = 1) -> tuple[tuple[bytes, ...], bytes]:
         return _atlas[n]
     forms, facts = _forms_for(n - 1, jobs)
     parents = [(graph_from_canonical(f).rows, x) for f, x in zip(forms, facts)]
-    seen, *others = _map_chunks(_child_forms, n - 1, parents, jobs)
+    seen, *others = _map_chunks(_child_forms, parents, jobs)
     for other in others:
         seen.update(other)
     forms = tuple(sorted(seen))
     _atlas[n] = forms, bytes(seen[f] for f in forms)
     return _atlas[n]
+
+
+def _check_vertex_count(n: int, stage: str) -> None:
+    if n > ENUMERATION_MAX_VERTICES:
+        raise TooLarge(f"{stage} capped at {ENUMERATION_MAX_VERTICES} vertices")
+    if n < 0:
+        raise TooLarge("vertex count must be nonnegative")
 
 
 def enumerate_graphs(
@@ -271,10 +279,7 @@ def enumerate_graphs(
     The vertex cap and the worker count are checked at call time; generation
     starts at the first ``next()``.
     """
-    if n > ENUMERATION_MAX_VERTICES:
-        raise TooLarge(f"enumeration capped at {ENUMERATION_MAX_VERTICES} vertices")
-    if n < 0:
-        raise TooLarge("vertex count must be nonnegative")
+    _check_vertex_count(n, "enumeration")
     jobs = resolve_jobs(jobs)
 
     def representatives() -> Iterator[Graph]:
@@ -308,7 +313,8 @@ class CensusRow:
 
 
 CSV_COLUMNS = tuple(f.name for f in fields(CensusRow))
-_SURVEY_COLUMNS = CSV_COLUMNS[3:]  # counted per class; the atlas gives the rest
+# counted per class; the facts and the spec tables give the rest
+_SURVEY_COLUMNS = tuple(c for c in CSV_COLUMNS[4:] if c != "recognized_3pcs")
 
 
 @dataclass(frozen=True, slots=True)
@@ -347,29 +353,22 @@ class CensusReport:
         return "\n".join(lines) + "\n"
 
 
-def _survey_chunk(n: int, classes: list[tuple[bytes, bool]]) -> tuple[dict[str, int], list[bytes]]:
-    """Counts of a chunk of 2-connected classes, given as (canonical form,
-    wheel-free), and its counterexamples.
+def _survey_chunk(forms: list[bytes]) -> tuple[dict[str, int], list[bytes]]:
+    """Counts of a chunk of wheel-free 2-connected classes, given by
+    canonical form, and its counterexamples.
 
-    The degree-signature gate comes before
-    :func:`obstructa.families.recognize_3pc`.  Each wheel-free class then
-    gets its :func:`obstructa.detectors.classify_with` record, whose fields
-    the counts add up.  It is a counterexample when it is an HC-obstruction
-    exactly when it is not a 3PC, or when it has neither an induced 3PC nor
-    a Hamiltonian cycle.
+    Each class gets its :func:`obstructa.detectors.classify_with` record,
+    whose fields the counts add up.  It is a counterexample when it is an
+    HC-obstruction exactly when it is not a 3PC, or when it has neither an
+    induced 3PC nor a Hamiltonian cycle.
     """
-    sig_table = family_tables(n).get(n, (set(), {}))[0]
     counts = dict.fromkeys(_SURVEY_COLUMNS, 0)
     counterexamples: list[bytes] = []
-    for form, wheel_free in classes:
+    for form in forms:
         g = graph_from_canonical(form)
-        recognized = recognize_3pc(g) if (g.edge_count, g.degree_sequence()) in sig_table else None
+        recognized = recognize_3pc(g)
         is_3pc = recognized is not None
-        counts["recognized_3pcs"] += is_3pc
-        if not wheel_free:
-            continue
         rec = classify_with(g, recognized, True)
-        counts["wheel_free_2conn"] += 1
         counts["wheel_free_3pcs"] += is_3pc
         counts["three_pc_free_among_those"] += not rec.contains_3pc
         counts["hamiltonian_among_those"] += rec.hamiltonian and not rec.contains_3pc
@@ -381,22 +380,22 @@ def _survey_chunk(n: int, classes: list[tuple[bytes, bool]]) -> tuple[dict[str, 
 
 def verify_main_theorem(max_n: int, jobs: Optional[int] = None) -> CensusReport:
     """Census plus the graph6 of every counterexample to either theorem
-    direction, sorted.  Only the 2-connected classes are surveyed, each with
-    its wheel fact from the atlas."""
-    if max_n > ENUMERATION_MAX_VERTICES:
-        raise TooLarge(f"verification capped at {ENUMERATION_MAX_VERTICES} vertices")
+    direction, sorted.  Only the classes whose facts byte says 2-connected
+    and wheel-free are surveyed."""
+    _check_vertex_count(max_n, "verification")
     jobs = resolve_jobs(jobs)
     rows = []
     counterexamples: set[str] = set()
     for n in range(1, max_n + 1):
         forms, facts = _forms_for(n, jobs)
-        classes = [(f, bool(x & WHEEL_FREE)) for f, x in zip(forms, facts) if x & TWO_CONNECTED]
-        counts = dict.fromkeys(_SURVEY_COLUMNS, 0)
-        for part, bad in _map_chunks(_survey_chunk, n, classes, jobs):
-            for column in _SURVEY_COLUMNS:
-                counts[column] += part[column]
+        classes = [f for f, x in zip(forms, facts) if x & TWO_CONNECTED and x & WHEEL_FREE]
+        specs = len(specs_with_vertex_count(n))
+        counts = Counter(wheel_free_2conn=len(classes), recognized_3pcs=specs)
+        for part, bad in _map_chunks(_survey_chunk, classes, jobs):
+            counts.update(part)
             counterexamples.update(encode_graph6(graph_from_canonical(f)) for f in bad)
-        rows.append(CensusRow(n=n, all=len(forms), two_connected=len(classes), **counts))
+        two_connected = sum(1 for x in facts if x & TWO_CONNECTED)
+        rows.append(CensusRow(n=n, all=len(forms), two_connected=two_connected, **counts))
     return CensusReport(max_n, tuple(rows), tuple(sorted(counterexamples)))
 
 

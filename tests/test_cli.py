@@ -171,6 +171,16 @@ class TestVerifyAndCensus:
             assert res.exit_code == 3, res.output
             assert res.output.strip() == "error: verification capped at 9 vertices"
 
+    def test_negative_max_n_exit_3(self):
+        # a negative size is an error, not an empty report; 0 stays empty
+        for command in ("verify", "census"):
+            res = run(command, "--max-n", "-3")
+            assert res.exit_code == 3, res.output
+            assert res.output.strip() == "error: vertex count must be nonnegative"
+            res = run(command, "--max-n", "0")
+            assert res.exit_code == 0
+            assert json.loads(res.output) == {"counterexamples": [], "max_n": 0, "rows": []}
+
     def test_census_text(self):
         res = run("census", "--max-n", "4", "--format", "text")
         assert res.exit_code == 0

@@ -107,7 +107,7 @@ class TestGeneration:
         for n in range(min(7, max(atlas8)) + 1):
             for g in atlas8[n]:
                 labeled.clear()
-                enumeration._child_forms(n, [(g.rows, 0)])
+                enumeration._child_forms([(g.rows, 0)])
                 gens = _canonical_search(n, g.rows)[2]
                 assert labeled == helpers.labeled_masks_reference(n, g.rows, gens), g
 
@@ -215,11 +215,23 @@ class TestCensus:
                 wheel_free_3pcs=sum(x.recognized_3pc is not None for x in kept),
             )
 
-    def test_survey_reads_facts(self, monkeypatch):
+    def test_survey_reads_facts(self, atlas8, monkeypatch):
         # the survey tests no class for 2-connectivity or wheels: no
         # whole-graph is_two_connected or find_induced_wheel call, generation
         # included, and one classify_with record per wheel-free 2-connected
-        # class (is_hc_obstruction still tests subsets for minimality)
+        # class (is_hc_obstruction still tests subsets for minimality); the
+        # classes it recognizes are exactly those, in order, none with a wheel
+        expected = [
+            g.rows
+            for n in range(1, 8)
+            for g in atlas8[n]
+            if is_two_connected(g) and find_induced_wheel(g) is None
+        ]
+        recognized = []
+        real_recognize = enumeration.recognize_3pc
+        monkeypatch.setattr(
+            enumeration, "recognize_3pc", lambda g: recognized.append(g.rows) or real_recognize(g)
+        )
         calls = collections.Counter()
 
         def counting(name, fn):
@@ -243,6 +255,7 @@ class TestCensus:
         assert calls["is_two_connected"] == 0
         assert calls["find_induced_wheel"] == 0
         assert calls["classify_with"] == sum(r.wheel_free_2conn for r in rows) == 91
+        assert recognized == expected
 
     def test_counterexamples_reported(self, monkeypatch):
         # K_{2,3} loses its obstruction verdict (3PC side) and C5 its
@@ -327,6 +340,24 @@ class TestReportFormats:
         parallel = verify_main_theorem(7, jobs=2).to_json()
         assert enumeration._atlas[7] == level7
         assert parallel.encode() == serial.encode()
+
+    def test_workers_agree_under_spawn(self):
+        # only module-level functions and picklable arguments cross the pool,
+        # so workers started fresh by spawn, on the two strided halves, give
+        # the results of one process: no stage relies on fork's copied state
+        import multiprocessing as mp
+
+        forms, facts = enumeration._forms_for(6)
+        parents = [(graph_from_canonical(f).rows, x) for f, x in zip(forms, facts)]
+        both = enumeration.TWO_CONNECTED | enumeration.WHEEL_FREE
+        classes = [f for f, x in zip(*enumeration._forms_for(7)) if x & both == both]
+        with mp.get_context("spawn").Pool(2) as pool:
+            children = pool.map(enumeration._child_forms, [parents[0::2], parents[1::2]])
+            surveys = pool.map(enumeration._survey_chunk, [classes[0::2], classes[1::2]])
+        assert {**children[0], **children[1]} == enumeration._child_forms(parents)
+        counts, bad = enumeration._survey_chunk(classes)
+        assert {c: surveys[0][0][c] + surveys[1][0][c] for c in counts} == counts
+        assert sorted(surveys[0][1] + surveys[1][1]) == sorted(bad)
 
 
 class TestJobs:

@@ -4,6 +4,7 @@ import pytest
 
 import helpers
 from obstructa.canon import are_isomorphic, canonical_form
+from obstructa.detectors import find_induced_wheel
 from obstructa.errors import (
     InvalidLengths,
     ShortVariant,
@@ -170,6 +171,24 @@ class TestRecognition:
         assert len(specs_with_vertex_count(7)) == 8
         assert len(specs_with_vertex_count(8)) == 12
         assert len(specs_with_vertex_count(9)) == 24
+
+    def test_spec_count_is_the_3pc_class_count(self, atlas):
+        # the census takes recognized_3pcs from the spec tables: on every
+        # class of the atlas, recognition finds exactly one class per spec
+        for n, classes in atlas.items():
+            recognized = [s for s in map(recognize_3pc, classes) if s is not None]
+            assert sorted(recognized, key=ThreePcSpec.sort_key) == list(
+                specs_with_vertex_count(n)
+            ), n
+
+    def test_wheel_free_spec_counts(self):
+        # the wheel-free 3PCs on n = 3..11 vertices, the obstruction counts
+        # the theorem predicts
+        counts = [
+            sum(find_induced_wheel(build_3pc(s)) is None for s in specs_with_vertex_count(n))
+            for n in range(3, 12)
+        ]
+        assert counts == [0, 0, 2, 2, 5, 7, 14, 19, 30]
 
 
 class TestSpecText:
