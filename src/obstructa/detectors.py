@@ -5,8 +5,9 @@ cycle of any length >= 3 plus a hub with at least three rim neighbors, so K4
 is a wheel.  Containment means an induced subgraph isomorphic to some wheel,
 equivalently an induced cycle of G and a vertex off it with >= 3 neighbors
 on it; the wheel search walks the induced cycles of G once.  The 3PC search
-walks vertex subsets of minimum induced degree 2 and looks each one up in
-the canonical family tables.
+walks vertex subsets of minimum induced degree 2 and reads each one whose
+degree signature fits a 3PC by its three-path skeleton
+(:func:`obstructa.families.spec_of_rows`); nothing is canonically labeled.
 """
 
 from __future__ import annotations
@@ -14,10 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
-from .canon import canonical_rows
 from .errors import TooLarge
-from .families import ThreePcSpec, family_tables, format_spec, recognize_3pc
-from .graphs import Graph, bits, flood, induced_rows, min_degree2_subsets
+from .families import ThreePcSpec, family_tables, format_spec, recognize_3pc, spec_of_rows
+from .graphs import Graph, bits, min_degree2_subsets
 from .hamiltonicity import is_hc_obstruction
 
 DETECT_3PC_MAX_VERTICES = 20  # the subset walk is pruned, but up to 2^n on dense graphs
@@ -98,33 +98,31 @@ def _first_in_tables(
     rows: tuple[int, ...], tables
 ) -> Optional[tuple[ThreePcSpec, tuple[int, ...]]]:
     """First vertex subset (size ascending, then lexicographic) whose induced
-    subgraph lands in the canonical tables, with the spec it lands on.
+    subgraph is a 3PC with its spec in the tables, with that spec.
 
-    ``tables`` maps subgraph order k to (degree-signature set, canon dict) as
+    ``tables`` maps subgraph order k to (degree-signature set, spec set) as
     produced by :func:`obstructa.families.family_tables`.  Subsets come from
     :func:`obstructa.graphs.min_degree2_subsets`, which never visits a prefix
     that cannot reach induced degree 2, so sparse graphs skip most of the
-    2^n subsets and dense ones do not.  A subset is canonicalized only if its
-    (edge count, degree sequence) signature is in the table and it induces a
-    connected graph; no 3PC fails any of these.
+    2^n subsets and dense ones do not.  A subset whose (edge count, degree
+    sequence) signature is in the table is read by
+    :func:`obstructa.families.spec_of_rows`; no subset is labeled.
     """
     for subset, sub in min_degree2_subsets(rows, sorted(tables)):
-        k = len(subset)
-        sigs, canons = tables[k]
+        sigs, specs = tables[len(subset)]
         degs = [(rows[v] & sub).bit_count() for v in subset]
         if (sum(degs) // 2, tuple(sorted(degs))) not in sigs:
             continue
-        if flood(rows, sub & -sub, sub) != sub:
-            continue
-        spec = canons.get(canonical_rows(k, induced_rows(rows, subset)))
-        if spec is not None:
+        spec = spec_of_rows(rows, sub)
+        if spec in specs:
             return spec, subset
     return None
 
 
 def find_induced_3pc(g: Graph) -> Optional[tuple[ThreePcSpec, frozenset[int]]]:
     """First vertex subset (size ascending, then lexicographic) inducing a 3PC,
-    with its canonical spec."""
+    with its canonical spec, from :func:`_first_in_tables` over every spec
+    on at most g.n vertices."""
     if g.n > DETECT_3PC_MAX_VERTICES:
         raise TooLarge(f"3PC detection capped at {DETECT_3PC_MAX_VERTICES} vertices")
     hit = _first_in_tables(g.rows, family_tables(g.n))

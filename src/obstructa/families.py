@@ -15,9 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Optional, Union
+from typing import Iterator, Optional, Sequence, Union
 
-from .canon import canonical_rows
 from .errors import (
     CapacityExceeded,
     InvalidLengths,
@@ -27,7 +26,7 @@ from .errors import (
     TooManyThetaChords,
     VertexOutOfRange,
 )
-from .graphs import MAX_VERTICES, Graph, graph_from_edges
+from .graphs import MAX_VERTICES, Graph, bits, graph_from_edges
 
 THETA = "theta"
 PYRAMID = "pyramid"
@@ -244,55 +243,127 @@ def all_specs_up_to(max_n: int) -> list[ThreePcSpec]:
 
 
 @lru_cache(maxsize=None)
-def _spec_canon(spec: ThreePcSpec) -> tuple[int, ...]:
-    g = build_3pc(spec)
-    return canonical_rows(g.n, g.rows)
-
-
-@lru_cache(maxsize=None)
 def _degree_signature(spec: ThreePcSpec) -> tuple[int, ...]:
     return build_3pc(spec).degree_sequence()
 
 
-def recognize_3pc(g: Graph) -> Optional[ThreePcSpec]:
-    """The unique canonical spec g is isomorphic to, or None.
+def spec_of_rows(rows: Sequence[int], sub: int) -> Optional[ThreePcSpec]:
+    """The canonical spec of the graph induced on the vertex mask ``sub``, or
+    None if that graph is not a 3PC, read off its three-path skeleton.
 
-    Candidate specs with matching vertex count, edge count and degree
-    sequence are taken in canonical order and compared by canonical form, so
-    g is labeled at most once and no spec is built or labeled unless its
-    edge count matches.
+    In a 3PC the vertices of degree >= 3 are exactly the 2, 4 or 6 ends of
+    its paths (theta ends, pyramid triangle and apex, prism triangles), and
+    every path-internal vertex has degree 2.  So the induced graph is a 3PC
+    iff every vertex has degree >= 2, its branch vertices (degree >= 3) are
+    2, 4 or 6, its *legs* (paths from a branch vertex through degree-2
+    vertices to a branch vertex) cover it and none returns to its start,
+    and the multigraph of branch vertices and leg lengths is the skeleton
+    of :func:`build_3pc`, chords being length-1 legs beside long legs:
+
+    * theta: three legs of length >= 2 between the two ends, and at most one
+      length-1 leg;
+    * pyramid: one apex with three long legs, one to each corner; the corners
+      pairwise joined by length-1 legs, each corner perhaps also to the apex;
+    * prism: one long leg at each vertex, pairing the vertices; a length-1
+      leg between the ends of a pair is its chord, and the other length-1
+      legs form two disjoint triangles.
+
+    The graph is the subdivision of that skeleton, so the skeleton decides
+    isomorphism to ``build_3pc(spec)``; no vertex is labeled.
     """
-    m, degs = g.edge_count, g.degree_sequence()
-    specs = specs_with_vertex_count(g.n)
-    candidates = [s for s in specs if s.edge_count == m and _degree_signature(s) == degs]
-    mine = canonical_rows(g.n, g.rows) if candidates else None
-    return next((s for s in candidates if _spec_canon(s) == mine), None)
+    branch = 0
+    for v in bits(sub):
+        d = (rows[v] & sub).bit_count()
+        if d < 2:
+            return None
+        if d > 2:
+            branch |= 1 << v
+    count = branch.bit_count()
+    if count not in (2, 4, 6):
+        return None
+    # legs[v]: (other end, length) of each long leg at v; a leg is walked
+    # once, from its lower end, which covers its internal vertices
+    legs: dict[int, list[tuple[int, int]]] = {v: [] for v in bits(branch)}
+    covered = branch
+    for u in bits(branch):
+        for w in bits(rows[u] & sub & ~covered):
+            prev, cur, length = u, w, 1
+            while not branch >> cur & 1:
+                covered |= 1 << cur
+                prev, cur = cur, (rows[cur] & sub & ~(1 << prev)).bit_length() - 1
+                length += 1
+            if cur == u:
+                return None
+            legs[u].append((cur, length))
+            legs[cur].append((u, length))
+    if covered != sub:
+        return None
+    if count == 2:
+        a, b = legs
+        if len(legs[a]) != 3:
+            return None
+        return ThreePcSpec.of(THETA, [l for _, l in legs[a]], (1,) if rows[a] >> b & 1 else ())
+    if count == 4:
+        # the apex is the one end of three long legs; each corner has one
+        apex = next((v for v, at in legs.items() if len(at) == 3), None)
+        if apex is None or any(len(at) != 1 for v, at in legs.items() if v != apex):
+            return None
+        corners = branch & ~(1 << apex)
+        lengths, chords = [], []
+        for i, (c, length) in enumerate(legs[apex]):
+            if rows[c] & corners != corners & ~(1 << c):
+                return None
+            lengths.append(length)
+            if rows[c] >> apex & 1:
+                chords.append(i + 1)
+        return ThreePcSpec.of(PYRAMID, lengths, chords)
+    if any(len(at) != 1 for at in legs.values()):
+        return None
+    # triangle[v]: v's length-1 legs other than its pair's chord; each must
+    # be two adjacent vertices, so they form two disjoint triangles
+    triangle = {v: rows[v] & branch & ~(1 << m) for v, [(m, _)] in legs.items()}
+    for t in triangle.values():
+        if t.bit_count() != 2 or not triangle[t.bit_length() - 1] & (t & -t):
+            return None
+    lengths, chords = [], []
+    for v, [(m, length)] in legs.items():
+        if v < m:
+            lengths.append(length)
+            if rows[v] >> m & 1:
+                chords.append(len(lengths))
+    return ThreePcSpec.of(PRISM, lengths, chords)
+
+
+def recognize_3pc(g: Graph) -> Optional[ThreePcSpec]:
+    """The unique canonical spec g is isomorphic to, or None
+    (see :func:`spec_of_rows`)."""
+    return spec_of_rows(g.rows, g.vertex_mask)
 
 
 # ---------------------------------------------------------------------------
-# canonical-form tables used by the bulk detectors
+# spec tables used by the bulk detectors
 # ---------------------------------------------------------------------------
 
 
 @lru_cache(maxsize=None)
 def family_tables(max_n: int, kind: Optional[str] = None, chorded: Optional[bool] = None):
-    """Per-n lookup tables {n: (degree-signature set, {canonical rows: spec})}.
+    """Per-n tables {n: (degree-signature set, frozenset of specs)} over the
+    specs on 5..max_n vertices; a subset lands in a table when its (edge
+    count, degree sequence) is in the signature set and
+    :func:`spec_of_rows` gives one of the specs.
 
     ``kind``/``chorded`` filter the spec space; None means no constraint.
     """
-    tables: dict[int, tuple[set, dict]] = {}
+    tables: dict[int, tuple[set, frozenset]] = {}
     for n in range(5, max_n + 1):
-        sigs: set[tuple[int, int, tuple[int, ...]]] = set()
-        canons: dict[tuple[int, ...], ThreePcSpec] = {}
-        for spec in specs_with_vertex_count(n):
-            if kind is not None and spec.kind != kind:
-                continue
-            if chorded is not None and bool(spec.chords) != chorded:
-                continue
-            sigs.add((spec.edge_count, _degree_signature(spec)))
-            canons[_spec_canon(spec)] = spec
-        if canons:
-            tables[n] = (sigs, canons)
+        specs = frozenset(
+            spec
+            for spec in specs_with_vertex_count(n)
+            if (kind is None or spec.kind == kind)
+            and (chorded is None or bool(spec.chords) == chorded)
+        )
+        if specs:
+            tables[n] = ({(s.edge_count, _degree_signature(s)) for s in specs}, specs)
     return tables
 
 
@@ -327,10 +398,12 @@ def parse_spec(text: str) -> FamilySpec:
             raise SpecSyntaxError("wheel spec needs 'wheel:LEN@p1,p2,...'")
         try:
             cycle_len = int(size)
-            positions = frozenset(int(p) for p in pos.split(","))
+            positions = [int(p) for p in pos.split(",")]
         except ValueError as exc:
             raise SpecSyntaxError(f"bad wheel spec {text!r}") from exc
-        return WheelSpec(cycle_len, positions)
+        if len(set(positions)) != len(positions):
+            raise SpecSyntaxError(f"hub positions must be distinct, got {pos!r}")
+        return WheelSpec(cycle_len, frozenset(positions))
     try:
         lengths = tuple(int(x) for x in tail.split(","))
     except ValueError as exc:

@@ -1,15 +1,18 @@
 """Shared test fixtures-in-code: a zoo of named graphs plus independent
-brute-force oracles.  The oracles deliberately avoid the library's search
-and canonicalization code paths so agreement tests are two-route checks.
+brute-force oracles.  Each oracle avoids the library code path it is
+compared with, so agreement tests are two-route checks.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from typing import Optional
 
 from hypothesis import strategies as st
 
+from obstructa.canon import canonical_rows
+from obstructa.families import ThreePcSpec, build_3pc, specs_with_vertex_count
 from obstructa.graphs import Graph, bits, flood, graph_from_edges, induced_rows
 
 
@@ -62,6 +65,13 @@ def subdivide_every_edge(g: Graph) -> Graph:
 def random_graph(rng, n: int, p: float) -> Graph:
     edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < p]
     return graph_from_edges(n, edges)
+
+
+def relabel(g: Graph, rng) -> Graph:
+    """g with its vertices renamed by a random permutation."""
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return graph_from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
 
 
 @st.composite
@@ -291,6 +301,38 @@ def threepc_subset_oracle(g: Graph, spec_graphs: dict[int, list[Graph]]) -> Opti
     return None
 
 
+@functools.lru_cache(maxsize=None)
+def _spec_forms(n: int) -> dict:
+    """{(edge count, degree sequence): [(spec, canonical rows)]} over the
+    specs on n vertices."""
+    out: dict = {}
+    for spec in specs_with_vertex_count(n):
+        h = build_3pc(spec)
+        key = (h.edge_count, h.degree_sequence())
+        out.setdefault(key, []).append((spec, canonical_rows(h.n, h.rows)))
+    return out
+
+
+def recognize_3pc_oracle(g: Graph) -> Optional[ThreePcSpec]:
+    """The spec g is isomorphic to, or None, by canonical-form lookup: each
+    spec on g.n vertices with g's edge count and degree sequence is built
+    and its canonical rows compared with g's."""
+    candidates = _spec_forms(g.n).get((g.edge_count, g.degree_sequence()), [])
+    mine = canonical_rows(g.n, g.rows) if candidates else None
+    return next((spec for spec, form in candidates if form == mine), None)
+
+
+def find_induced_3pc_oracle(g: Graph) -> Optional[tuple[ThreePcSpec, frozenset[int]]]:
+    """First vertex subset (size ascending, then lexicographic) inducing a
+    3PC, with its spec: every combination of minimum induced degree 2 goes
+    through :func:`recognize_3pc_oracle`."""
+    for subset, _ in min_degree2_subsets_oracle(g.rows, range(5, g.n + 1)):
+        spec = recognize_3pc_oracle(Graph(len(subset), induced_rows(g.rows, subset)))
+        if spec is not None:
+            return spec, frozenset(subset)
+    return None
+
+
 def k4_minor_oracle(g: Graph) -> bool:
     """Minor-model enumeration: four disjoint connected sets, pairwise joined."""
     n = g.n
@@ -324,8 +366,6 @@ def k4_minor_oracle(g: Graph) -> bool:
 
 def labeled_class_count(n: int) -> int:
     """Number of isomorphism classes by canonicalizing every labeled graph."""
-    from obstructa.canon import canonical_rows
-
     seen = set()
     pairs = list(itertools.combinations(range(n), 2))
     for code in range(1 << len(pairs)):

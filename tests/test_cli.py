@@ -80,6 +80,16 @@ class TestGen:
     def test_bad_spec_exit_2(self):
         assert run("gen", "noodle:1,2,3").exit_code == 2
 
+    def test_repeated_hub_position_exit_2(self):
+        # repeated hub positions are rejected like repeated chord digits,
+        # never merged into a wheel with fewer spokes
+        for command in ("gen", "check"):
+            for spec in ("wheel:5@0,0,1,2", "wheel:6@0,2,4,2", "prism+11:2,2,2"):
+                res = run(command, spec)
+                assert res.exit_code == 2, (command, spec, res.output)
+                assert res.stdout == ""
+                assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1
+
     def test_check_gen_round_trip(self):
         for spec in ("theta:2,2,3", "theta+1:2,2,2", "pyramid:2,2,2", "prism+1:2,2,2"):
             g6 = run("gen", spec).output.strip()

@@ -162,8 +162,16 @@ class TestThreePcDetector:
             witness = None if hit is None else hit[1]
             assert witness == helpers.threepc_subset_oracle(g, spec_graphs), g
 
+    def test_matches_oracle_scan_on_two_connected_classes(self, atlas8):
+        # the skeleton reader on each candidate subset against the
+        # canonical-lookup oracle on every minimum-degree-2 combination
+        for n in range(5, 9):
+            for g in atlas8.get(n, ()):
+                if is_two_connected(g):
+                    assert find_induced_3pc(g) == helpers.find_induced_3pc_oracle(g), g
+
     def test_too_large(self, monkeypatch):
-        # the cap is checked before any canonical-form table is built
+        # the cap is checked before any spec table is built
         def no_tables(*args):
             raise AssertionError("family_tables called above the cap")
 

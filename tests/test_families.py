@@ -1,3 +1,5 @@
+import itertools
+import random
 from collections import Counter
 
 import pytest
@@ -14,6 +16,8 @@ from obstructa.errors import (
     VertexOutOfRange,
 )
 from obstructa.families import (
+    SHORT_PRISM,
+    SHORT_PYRAMID,
     ThreePcSpec,
     WheelSpec,
     all_specs_up_to,
@@ -24,9 +28,10 @@ from obstructa.families import (
     format_spec,
     parse_spec,
     recognize_3pc,
+    spec_of_rows,
     specs_with_vertex_count,
 )
-from obstructa.graphs import is_two_connected
+from obstructa.graphs import graph_from_edges, is_two_connected
 
 
 def expected_degree_multiset(spec: ThreePcSpec) -> Counter:
@@ -150,18 +155,30 @@ class TestRecognition:
         assert recognize_3pc(helpers.cycle(6)) is None
         assert recognize_3pc(helpers.complete(4)) is None
 
-    def test_long_cycle_builds_and_labels_nothing(self, monkeypatch):
-        # no spec on 40 vertices has 40 edges, so recognition of C_40 must end
-        # before building any spec or labeling either side
-        from obstructa import families
+    def test_recognition_labels_nothing(self, monkeypatch):
+        # the skeleton reader labels no graph: not the input, no spec, no
+        # candidate subset, and not the spec tables the subset scan reads
+        from obstructa import canon, families
+        from obstructa.decompose import is_only_prism
+        from obstructa.detectors import find_induced_3pc
 
         calls = []
-        real_build, real_label = families.build_3pc, families.canonical_rows
-        monkeypatch.setattr(families, "build_3pc", lambda s: calls.append(s) or real_build(s))
+        real_search = canon._canonical_search
         monkeypatch.setattr(
-            families, "canonical_rows", lambda n, rows: calls.append(n) or real_label(n, rows)
+            canon, "_canonical_search", lambda n, rows: calls.append(n) or real_search(n, rows)
         )
+        families.family_tables.__wrapped__(13)
         assert recognize_3pc(helpers.cycle(40)) is None
+        assert find_induced_3pc(helpers.cycle(20)) is None
+        for spec in all_specs_up_to(13):
+            g = build_3pc(spec)
+            assert recognize_3pc(g) == spec
+            assert find_induced_3pc(g) == (spec, frozenset(range(g.n)))
+            is_only_prism(g)  # the theta and pyramid scans, if g is wheel-free
+        for c, spokes in [(3, {0, 1, 2}), (6, {0, 2, 4}), (8, {0, 1, 4, 6}), (11, {0, 3, 6})]:
+            w = build_wheel(WheelSpec(c, frozenset(spokes)))
+            assert recognize_3pc(w) is None
+            find_induced_3pc(w)
         assert calls == []
 
     def test_spec_space_sizes(self):
@@ -191,6 +208,51 @@ class TestRecognition:
         assert counts == [0, 0, 2, 2, 5, 7, 14, 19, 30]
 
 
+class TestSkeletonReader:
+    """The skeleton reader against the canonical-lookup oracle."""
+
+    def test_agrees_with_oracle_on_atlas(self, atlas):
+        for classes in atlas.values():
+            for g in classes:
+                assert recognize_3pc(g) == helpers.recognize_3pc_oracle(g), g
+
+    def test_agrees_on_relabeled_specs(self):
+        rng = random.Random(12)
+        for n in range(5, 21):
+            for spec in specs_with_vertex_count(n):
+                g = helpers.relabel(build_3pc(spec), rng)
+                assert recognize_3pc(g) == spec == helpers.recognize_3pc_oracle(g)
+
+    def test_agrees_on_near_members(self):
+        # short variants, wheels, cycles, K4 and complete bipartite graphs,
+        # of which only K2,3 is a 3PC
+        graphs = [
+            build_short_variant(kind, (1, a, b))
+            for kind, low in ((SHORT_PRISM, 1), (SHORT_PYRAMID, 2))
+            for a in range(low, 6)
+            for b in range(a, 6)
+        ]
+        graphs += [
+            build_wheel(WheelSpec(c, frozenset(spokes)))
+            for c in range(3, 10)
+            for spokes in itertools.combinations(range(c), 3)
+        ]
+        graphs += [helpers.cycle(n) for n in range(3, 12)] + [helpers.complete(4)]
+        graphs += [helpers.complete_bipartite(a, b) for a in range(2, 5) for b in range(a, 5)]
+        for g in graphs:
+            assert recognize_3pc(g) == helpers.recognize_3pc_oracle(g), g
+
+    def test_reads_an_induced_subgraph(self):
+        # the mask form reads the subgraph induced on the mask, whatever lies
+        # outside it: a theta+ plus a pendant path and a universal vertex
+        theta = build_3pc(ThreePcSpec.of("theta", (2, 3, 4), (1,)))
+        n = theta.n
+        edges = list(theta.edges()) + [(0, n), (n, n + 1)] + [(v, n + 2) for v in range(n + 2)]
+        g = graph_from_edges(n + 3, edges)
+        assert spec_of_rows(g.rows, theta.vertex_mask) == ThreePcSpec.of("theta", (2, 3, 4), (1,))
+        assert spec_of_rows(g.rows, g.vertex_mask) is None
+
+
 class TestSpecText:
     @pytest.mark.parametrize(
         "text",
@@ -218,7 +280,9 @@ class TestSpecText:
         with pytest.raises(TooManyThetaChords):
             parse_spec("theta+12:2,2,2")
 
-    @pytest.mark.parametrize("bad", ["theta", "theta:2,2", "blob:1,2,3", "wheel:6", "prism+4:2,2,2"])
+    @pytest.mark.parametrize(
+        "bad", ["theta", "theta:2,2", "blob:1,2,3", "wheel:6", "prism+4:2,2,2", "wheel:5@0,0,1,2"]
+    )
     def test_syntax_errors(self, bad):
         with pytest.raises(SpecSyntaxError):
             parse_spec(bad)

@@ -1,5 +1,5 @@
-"""Property tests for the input parsers, canonical labeling and bad input at
-the CLI.
+"""Property tests for the input parsers, canonical labeling, 3PC recognition
+and bad input at the CLI.
 
 Example counts are bounded so the file adds a few seconds to the suite, and
 no example database is written.
@@ -8,7 +8,7 @@ no example database is written.
 from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
-from helpers import graphs
+from helpers import graphs, recognize_3pc_oracle
 from obstructa.canon import canonical_rows
 from obstructa.cli import main
 from obstructa.errors import GraphError, MalformedGraph6
@@ -19,8 +19,11 @@ from obstructa.families import (
     THETA,
     ThreePcSpec,
     WheelSpec,
+    all_specs_up_to,
+    build_3pc,
     format_spec,
     parse_spec,
+    recognize_3pc,
 )
 from obstructa.graphs import (
     GRAPH6_MAX_VERTICES,
@@ -48,6 +51,26 @@ def test_canonical_rows_invariant_under_relabeling(g, data):
     perm = data.draw(st.permutations(range(g.n)))
     h = graph_from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
     assert canonical_rows(h.n, h.rows) == canonical_rows(g.n, g.rows)
+
+
+# ---------------------------------------------------------------------------
+# 3PC recognition
+# ---------------------------------------------------------------------------
+
+
+@FUZZ
+@given(st.sampled_from(all_specs_up_to(14)), st.data())
+def test_recognize_3pc_matches_oracle_near_3pcs(spec, data):
+    # a relabeled 3PC, or with one edge toggled a near-miss: a leg too many
+    # or too few, an extra chord, a broken triangle
+    g = build_3pc(spec)
+    perm = data.draw(st.permutations(range(g.n)))
+    edges = {frozenset((perm[u], perm[v])) for u, v in g.edges()}
+    if data.draw(st.booleans()):
+        pair = data.draw(st.lists(st.integers(0, g.n - 1), min_size=2, max_size=2, unique=True))
+        edges ^= {frozenset(pair)}
+    h = graph_from_edges(g.n, [tuple(e) for e in edges])
+    assert recognize_3pc(h) == recognize_3pc_oracle(h)
 
 
 # ---------------------------------------------------------------------------
