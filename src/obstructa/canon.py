@@ -179,11 +179,19 @@ def canonical_rows(n: int, rows: tuple[int, ...]) -> tuple[int, ...]:
     return _canonical_search(n, rows)[0]
 
 
+def encode_form(n: int, rows: tuple[int, ...]) -> bytes:
+    """The byte string :func:`graph_from_canonical` decodes: n, then the
+    rows at fixed width, little-endian."""
+    if n <= 8:
+        # one byte per row, or none when n == 0
+        return bytes([n]) + bytes(rows)
+    width = (n + 7) // 8
+    return bytes([n]) + b"".join(r.to_bytes(width, "little") for r in rows)
+
+
 def canonical_form(g: Graph) -> bytes:
     """Canonical byte string: n, then the relabeled rows at fixed width."""
-    rows = canonical_rows(g.n, g.rows)
-    width = (g.n + 7) // 8 if g.n else 0
-    return bytes([g.n]) + b"".join(r.to_bytes(width, "little") for r in rows)
+    return encode_form(g.n, canonical_rows(g.n, g.rows))
 
 
 def graph_from_canonical(form: bytes) -> Graph:

@@ -4,7 +4,7 @@ Generation is canonical augmentation with a seen-set (McKay, "Isomorph-free
 exhaustive generation", 1998): every representative on n-1 vertices is
 extended by one neighborhood bitmask of a new vertex per orbit of the
 parent's automorphism group, and only where the new vertex maximizes the
-vertex invariant (degree, sorted neighbour degrees) in the child; a child is
+vertex invariant (degree, sum of neighbour degrees) in the child; a child is
 kept exactly when its canonical form is unseen.  Nothing is lost, for two
 reasons:
 
@@ -50,7 +50,7 @@ from dataclasses import asdict, dataclass, fields, replace
 from itertools import combinations
 from typing import Callable, Iterator, Optional
 
-from .canon import _canonical_search, canonical_rows, graph_from_canonical
+from .canon import _canonical_search, canonical_rows, encode_form, graph_from_canonical
 from .errors import InvalidJobCount, TooLarge
 from .families import recognize_3pc, specs_with_vertex_count
 from .graphs import Graph, _cut_vertices, bits, component_masks, encode_graph6, flood
@@ -94,17 +94,15 @@ def _map_chunks(fn: Callable, items: list, jobs: int) -> list:
     merge the results by dict union and by sums, so the split never changes
     them.
 
-    ``fork`` starts each worker as a copy of this process, so a pool (one
-    per vertex count and stage) costs no interpreter start or package
-    import.  Only module-level functions and picklable arguments cross the
-    pool, so a ``spawn`` context computes the same results, just slower to
-    start; ``fork`` limits parallel runs to POSIX systems.
+    The pool (one per vertex count and stage) starts its workers with the
+    platform's default method.  Only module-level functions and picklable
+    arguments cross it, so ``fork`` and ``spawn`` compute the same results.
     """
     if jobs == 1 or len(items) <= 64 * jobs:
         return [fn(items)]
     import multiprocessing as mp
 
-    with mp.get_context("fork").Pool(jobs) as pool:
+    with mp.Pool(jobs) as pool:
         return pool.map(fn, [items[i::jobs] for i in range(jobs)])
 
 
@@ -144,7 +142,7 @@ def _extension_facts(rows: tuple[int, ...], facts: int) -> Callable[[int, list[i
 def _child_forms(parents: list[tuple[tuple[int, ...], int]]) -> dict[bytes, int]:
     """Canonical forms of the one-vertex extensions of the given parents
     (rows and facts byte, all of one size), one per automorphism orbit of
-    masks, in which the new vertex maximizes (degree, sorted neighbour
+    masks, in which the new vertex maximizes (degree, sum of neighbour
     degrees), each with its facts byte.
 
     For each degree ``d`` from the parent's maximum degree to ``n_parent``,
@@ -152,26 +150,21 @@ def _child_forms(parents: list[tuple[tuple[int, ...], int]]) -> dict[bytes, int]
     those end at degree at most ``d`` and the rest keep theirs, so no vertex
     has a higher degree than the new one.  A mask is skipped when it lies in
     the orbit of an earlier labeled mask under the parent's automorphism
-    generators, or when a vertex of degree ``d`` in its child has a
-    lexicographically greater sorted neighbour-degree list than the new
-    vertex.  Both skips treat all masks of one orbit alike: an automorphism
-    of the parent, extended to fix the new vertex, is an isomorphism between
-    their children.
+    generators, or when a vertex of degree ``d`` in its child has a greater
+    sum of neighbour degrees than the new vertex.  Both skips treat all
+    masks of one orbit alike: an automorphism of the parent, extended to fix
+    the new vertex, is an isomorphism between their children.
 
-    Masks and orbit images are bitmasks, and a neighbour-degree list is
-    compared as one integer key: digit ``n - x`` (in base ``2**shift``)
-    counts the entries equal to ``x``.  Of two lists of the same length the
-    lexicographically greater has the smaller key, since at the least value
-    where their counts differ it has fewer entries.  Each parent keeps the
-    key of every vertex and, per vertex, the change of a key when that
-    neighbour's degree goes up by one; a rival's key in the child is its
-    parent key plus those changes over its neighbours in the mask.
+    Each parent keeps the neighbour-degree sum of every vertex.  In the
+    child the new vertex's sum is its neighbours' parent degrees plus ``d``,
+    and a rival's is its parent sum plus its neighbours in the mask, plus
+    ``d`` when it is in the mask itself.
 
     Nothing is lost.  Every graph G has a vertex v maximizing the
     invariant, G - v is isomorphic to some parent P, and mapping v's
     neighbourhood through that isomorphism gives a mask whose child is
     isomorphic to G with v as the new vertex; so that mask passes the
-    degree and neighbour-degree rules, and the first mask of its orbit is
+    degree and neighbour-degree-sum rules, and the first mask of its orbit is
     labeled and gives a child isomorphic to it.
 
     A form's facts byte comes from :func:`_extension_facts` when the form
@@ -195,17 +188,10 @@ def _child_forms(parents: list[tuple[tuple[int, ...], int]]) -> dict[bytes, int]
     n_parent = len(parents[0][0]) if parents else 0
     newbit = n_parent
     n = n_parent + 1
-    width = (n + 7) // 8
-    head = bytes([n])
-    shift = n.bit_length()
-    digit = [1 << shift * (n - x) for x in range(n + 1)]
     bit = [1 << u for u in range(n)]
     for rows, facts in parents:
         deg = [r.bit_count() for r in rows]
-        adj = [list(bits(r)) for r in rows]
-        key = [sum([digit[deg[x]] for x in a]) for a in adj]
-        up = [digit[x + 1] for x in deg]
-        delta = [digit[x + 1] - digit[x] for x in deg]
+        nsum = [sum([deg[x] for x in bits(r)]) for r in rows]
         gens = [(p, [1 << q for q in p]) for p in _canonical_search(n_parent, rows)[2]]
         facts_of = _extension_facts(rows, facts)
         done: set[int] = set()
@@ -216,14 +202,12 @@ def _child_forms(parents: list[tuple[tuple[int, ...], int]]) -> dict[bytes, int]
                 mask = sum(map(bit.__getitem__, neighbours))
                 if mask in done:
                     continue
-                mine = sum(map(up.__getitem__, neighbours))
+                mine = sum(map(deg.__getitem__, neighbours)) + d
                 # the other vertices of degree d in the child: those of the
                 # parent's degree d, and the mask's vertices of degree d - 1,
                 # which also neighbour the new vertex
-                if any(
-                    key[w] + sum([delta[x] for x in adj[w] if mask >> x & 1]) < mine for w in tied
-                ) or any(
-                    key[u] + digit[d] + sum([delta[x] for x in adj[u] if mask >> x & 1]) < mine
+                if any(nsum[w] + (rows[w] & mask).bit_count() > mine for w in tied) or any(
+                    nsum[u] + (rows[u] & mask).bit_count() + d > mine
                     for u in neighbours
                     if deg[u] == d - 1
                 ):
@@ -238,11 +222,7 @@ def _child_forms(parents: list[tuple[tuple[int, ...], int]]) -> dict[bytes, int]
                             orbit.append([p[u] for u in m])
                 child = [r | (mask >> i & 1) << newbit for i, r in enumerate(rows)]
                 child.append(mask)
-                crows = canonical_rows(n, tuple(child))
-                if width == 1:
-                    form = head + bytes(crows)
-                else:
-                    form = head + b"".join(r.to_bytes(width, "little") for r in crows)
+                form = encode_form(n, canonical_rows(n, tuple(child)))
                 if form not in seen:
                     seen[form] = facts_of(mask, child)
     return seen

@@ -32,6 +32,8 @@ THETA = "theta"
 PYRAMID = "pyramid"
 PRISM = "prism"
 KIND_ORDER = (THETA, PYRAMID, PRISM)  # recognition / enumeration order
+# vertex count minus the sum of the path lengths
+VERTEX_OFFSET = {THETA: -1, PYRAMID: 1, PRISM: 3}
 
 SHORT_PRISM = "shortprism"
 SHORT_PYRAMID = "shortpyramid"
@@ -97,8 +99,7 @@ class ThreePcSpec:
 
     @property
     def vertex_count(self) -> int:
-        base = {THETA: -1, PYRAMID: 1, PRISM: 3}[self.kind]
-        return sum(self.lengths) + base
+        return sum(self.lengths) + VERTEX_OFFSET[self.kind]
 
     @property
     def edge_count(self) -> int:
@@ -228,7 +229,7 @@ def specs_with_vertex_count(n: int) -> tuple[ThreePcSpec, ...]:
     """All canonical specs on exactly n vertices, in canonical order."""
     out = []
     for kind in KIND_ORDER:
-        total = n - {THETA: -1, PYRAMID: 1, PRISM: 3}[kind]
+        total = n - VERTEX_OFFSET[kind]
         for lengths in _length_triples(total):
             for chords in _chord_masks(kind, lengths):
                 out.append(ThreePcSpec(kind, lengths, chords))

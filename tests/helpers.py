@@ -490,26 +490,24 @@ def group_order(n: int, gens: list[tuple[int, ...]]) -> int:
 
 
 def labeled_masks_reference(n_parent: int, rows: tuple[int, ...], gens) -> list[int]:
-    """Masks ``_child_forms`` labels for one parent, in order, with the
-    neighbour-degree rule on sorted degree lists and orbits as vertex tuples."""
+    """Masks ``_child_forms`` labels for one parent, in order: the rule
+    (degree, sum of neighbour degrees) read off each child's own rows, and
+    orbits as vertex tuples."""
     n = n_parent + 1
     deg = [r.bit_count() for r in rows]
-    adj = [list(bits(r)) for r in rows]
     done: set[tuple[int, ...]] = set()
     labeled = []
     for d in range(max(deg, default=0), n):
         below = [u for u in range(n_parent) if deg[u] < d]
-        tied = [w for w in range(n_parent) if deg[w] == d]
         for neighbours in itertools.combinations(below, d):
             if neighbours in done:
                 continue
-            cdeg = deg[:]
-            for u in neighbours:
-                cdeg[u] += 1
-            mine = sorted(cdeg[u] for u in neighbours)
-            if any(sorted(cdeg[x] for x in adj[w]) > mine for w in tied) or any(
-                sorted([cdeg[x] for x in adj[u]] + [d]) > mine for u in neighbours if cdeg[u] == d
-            ):
+            mask = sum(1 << u for u in neighbours)
+            child = [r | (mask >> i & 1) << n_parent for i, r in enumerate(rows)] + [mask]
+            cdeg = [r.bit_count() for r in child]
+            assert max(cdeg) == cdeg[n_parent] == d
+            nsum = [sum(cdeg[x] for x in bits(r)) for r in child]
+            if any(cdeg[w] == d and nsum[w] > nsum[n_parent] for w in range(n_parent)):
                 continue
             orbit = [neighbours]
             done.add(neighbours)
@@ -519,5 +517,5 @@ def labeled_masks_reference(n_parent: int, rows: tuple[int, ...], gens) -> list[
                     if image not in done:
                         done.add(image)
                         orbit.append(image)
-            labeled.append(sum(1 << u for u in neighbours))
+            labeled.append(mask)
     return labeled

@@ -3,6 +3,7 @@ import dataclasses
 import json
 import math
 import os
+import subprocess
 import sys
 
 import networkx as nx
@@ -75,9 +76,9 @@ class TestGeneration:
 
     def test_labelings_per_n(self, monkeypatch):
         # one child per automorphism orbit of masks is labeled, and only where
-        # the new vertex maximizes (degree, sorted neighbour degrees): 1,300 at
-        # n <= 7, where the degree rule alone made 3,132 and all 2^(n-1)
-        # extensions of every parent 11,291.  The one search per parent that
+        # the new vertex maximizes (degree, sum of neighbour degrees): 14,655
+        # at n <= 8, where the degree rule alone made 32,887 and all 2^(n-1)
+        # extensions of every parent 144,923.  The one search per parent that
         # yields its automorphism generators calls _canonical_search directly
         # and is not counted here.
         calls = [0]
@@ -90,16 +91,17 @@ class TestGeneration:
         monkeypatch.setattr(enumeration, "canonical_rows", counting)
         monkeypatch.setattr(enumeration, "_atlas", {0: enumeration._atlas[0]})
         per_n = []
-        for n in range(1, 8):
+        for n in range(1, 9):
             before = calls[0]
             assert sum(1 for _ in enumerate_graphs(n, jobs=1)) == KNOWN_CLASS_COUNTS[n]
             per_n.append(calls[0] - before)
-        assert per_n == [1, 2, 4, 11, 34, 158, 1090]
+        assert per_n == [1, 2, 4, 11, 34, 159, 1096, 13348]
 
-    def test_neighbour_degree_keys_match_sorted_lists(self, atlas8, monkeypatch):
-        # the histogram-key rule and the bitmask orbits label the same masks
-        # in the same order as sorted neighbour-degree lists and vertex-tuple
-        # orbits, on every parent with n <= 7; the child's last row is its mask
+    def test_neighbour_degree_sum_rule_matches_child_reference(self, atlas8, monkeypatch):
+        # the sum rule on per-parent sums and the bitmask orbits label the
+        # same masks in the same order as the sums read off each child's rows
+        # and vertex-tuple orbits, on every parent with n <= 7; the child's
+        # last row is its mask
         labeled = []
         monkeypatch.setattr(
             enumeration, "canonical_rows", lambda n, rows: labeled.append(rows[-1]) or rows
@@ -358,6 +360,27 @@ class TestReportFormats:
         counts, bad = enumeration._survey_chunk(classes)
         assert {c: surveys[0][0][c] + surveys[1][0][c] for c in counts} == counts
         assert sorted(surveys[0][1] + surveys[1][1]) == sorted(bad)
+
+    def test_verify_agrees_under_spawn_start_method(self):
+        # with spawn as the process-wide start method, verify at n = 7 pools
+        # the n = 7 generation step (156 parents) and gives the serial report
+        # byte for byte
+        src = os.path.dirname(os.path.dirname(enumeration.__file__))
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        code = (
+            "import multiprocessing, sys\n"
+            "from obstructa.enumeration import verify_main_theorem\n"
+            "multiprocessing.set_start_method('spawn')\n"
+            "sys.stdout.write(verify_main_theorem(7, jobs=2).to_json())\n"
+        )
+        run = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            env={**os.environ, "PYTHONPATH": path},
+            timeout=120,
+            check=True,
+        )
+        assert run.stdout == verify_main_theorem(7, jobs=1).to_json().encode()
 
 
 class TestJobs:
