@@ -52,6 +52,9 @@ EXIT_PARSE = 2
 EXIT_TOO_LARGE = 3
 EXIT_BAD_SPEC = 4
 
+# clique listing and line-graph recognition are exponential on dense graphs
+DECOMPOSE_MAX_VERTICES = 16
+
 _SPEC_ERRORS = (ShortVariant, TooManyThetaChords, InvalidLengths, TooFewSpokes, VertexOutOfRange)
 
 
@@ -152,6 +155,8 @@ def ham(graph: Optional[str], input_file: Optional[str], want_path: bool) -> Non
 def decompose(graph: Optional[str], input_file: Optional[str]) -> None:
     """Trace the structural pipeline; emits a JSON array of step records."""
     g = _load_graph(graph, input_file)
+    if g.n > DECOMPOSE_MAX_VERTICES:
+        _fail(EXIT_TOO_LARGE, f"decompose capped at {DECOMPOSE_MAX_VERTICES} vertices")
     steps: list[dict] = []
 
     def record(step: str, n: int, certificate=None, error: Optional[str] = None) -> None:

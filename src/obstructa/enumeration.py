@@ -116,7 +116,7 @@ def _extension_facts(rows: tuple[int, ...], facts: int) -> Callable[[int, list[i
     # the components M must meet, or None when no child is 2-connected
     comps = None
     if n_parent >= 2 and flood(rows, 1, pmask) == pmask:
-        cut = _cut_vertices(n_parent, rows)
+        cut = _cut_vertices(rows, pmask)
         comps = [c for x in bits(cut) for c in component_masks(rows, pmask & ~(1 << x))]
     # the parent's induced cycles, or None when every child has a wheel
     cycles = None
@@ -250,11 +250,9 @@ def _check_vertex_count(n: int, stage: str) -> None:
         raise TooLarge("vertex count must be nonnegative")
 
 
-def enumerate_graphs(
-    n: int, predicate: Optional[Callable[[Graph], bool]] = None, jobs: Optional[int] = None
-) -> Iterator[Graph]:
+def enumerate_graphs(n: int, jobs: Optional[int] = None) -> Iterator[Graph]:
     """One canonically labeled representative per isomorphism class, in
-    sorted canonical-form order; the predicate filters after generation.
+    sorted canonical-form order.
 
     The vertex cap and the worker count are checked at call time; generation
     starts at the first ``next()``.
@@ -264,9 +262,7 @@ def enumerate_graphs(
 
     def representatives() -> Iterator[Graph]:
         for form in _forms_for(n, jobs)[0]:
-            g = graph_from_canonical(form)
-            if predicate is None or predicate(g):
-                yield g
+            yield graph_from_canonical(form)
 
     return representatives()
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import (
     CapacityExceeded,
@@ -201,8 +201,9 @@ def format_edge_list(g: Graph) -> str:
 # ---------------------------------------------------------------------------
 
 
-def induced_rows(rows: tuple[int, ...], vertices: tuple[int, ...]) -> tuple[int, ...]:
-    """Rows of the induced subgraph on ``vertices`` (ascending), relabeled 0..k-1."""
+def induced_rows(rows: Sequence[int], vertices: Sequence[int]) -> tuple[int, ...]:
+    """Rows of the induced subgraph on ``vertices``, relabeled 0..k-1 in the
+    given order."""
     out = []
     for v in vertices:
         rv = rows[v]
@@ -328,28 +329,13 @@ def contract_edge(g: Graph, edge: tuple[int, int]) -> Graph:
         raise EdgeAbsent(f"({u}, {v}) is not an edge")
     u, v = min(u, v), max(u, v)
     rows = list(g.rows)
-    merged = (rows[u] | rows[v]) & ~(1 << u | 1 << v)
-    rows[u] = merged
-    for w in range(g.n):
-        if w != u:
-            if merged >> w & 1:
-                rows[w] |= 1 << u
-            else:
-                rows[w] &= ~(1 << u)
-    last = g.n - 1
-    if v != last:
-        moved = rows[last] & ~(1 << v)
-        rows[v] = moved
-        for w in range(g.n):
-            if w != v:
-                if moved >> w & 1:
-                    rows[w] |= 1 << v
-                else:
-                    rows[w] &= ~(1 << v)
-        rows[v] &= ~(1 << last)
-    for w in range(last):
-        rows[w] &= ~(1 << last)
-    return Graph(last, tuple(rows[:last]))
+    rows[u] = (rows[u] | rows[v]) & ~(1 << u | 1 << v)
+    for w in bits(rows[u]):
+        rows[w] |= 1 << u
+    order = list(range(g.n - 1))
+    if v < g.n - 1:
+        order[v] = g.n - 1
+    return Graph(g.n - 1, induced_rows(rows, order))
 
 
 # ---------------------------------------------------------------------------
@@ -389,17 +375,18 @@ def is_connected_masked(rows: tuple[int, ...], within: int) -> bool:
     return flood(rows, within & -within, within) == within
 
 
-def _cut_vertices(n: int, rows: tuple[int, ...]) -> int:
-    """Bitmask of articulation vertices (union over components), via lowpoint DFS."""
-    disc = [0] * n
-    low = [0] * n
+def _cut_vertices(rows: tuple[int, ...], within: int) -> int:
+    """Bitmask of articulation vertices of the subgraph induced on ``within``
+    (union over its components), via lowpoint DFS."""
+    disc = [0] * len(rows)
+    low = [0] * len(rows)
     cut = 0
     timer = 1
-    for root in range(n):
+    for root in bits(within):
         if disc[root]:
             continue
         # iterative DFS storing (vertex, parent, neighbor iterator)
-        stack = [(root, -1, bits(rows[root]))]
+        stack = [(root, -1, bits(rows[root] & within))]
         disc[root] = low[root] = timer
         timer += 1
         root_children = 0
@@ -412,7 +399,7 @@ def _cut_vertices(n: int, rows: tuple[int, ...]) -> int:
                         root_children += 1
                     disc[w] = low[w] = timer
                     timer += 1
-                    stack.append((w, v, bits(rows[w])))
+                    stack.append((w, v, bits(rows[w] & within)))
                     advanced = True
                     break
                 elif w != parent and disc[w] < low[v]:
@@ -430,17 +417,12 @@ def _cut_vertices(n: int, rows: tuple[int, ...]) -> int:
     return cut
 
 
-def is_two_connected(g_or_n, rows: Optional[tuple[int, ...]] = None) -> bool:
+def is_two_connected(g: Graph) -> bool:
     """2-connected means n >= 3, connected, and no cut vertex."""
-    if rows is None:
-        n, rows = g_or_n.n, g_or_n.rows
-    else:
-        n = g_or_n
-    if n < 3:
+    if g.n < 3:
         return False
-    if not is_connected_masked(rows, (1 << n) - 1):
-        return False
-    return _cut_vertices(n, rows) == 0
+    full = g.vertex_mask
+    return is_connected_masked(g.rows, full) and not _cut_vertices(g.rows, full)
 
 
 @dataclass(frozen=True, slots=True)
@@ -453,7 +435,7 @@ class ConnectivityReport:
 
 def connectivity_report(g: Graph) -> ConnectivityReport:
     comps = component_masks(g.rows, g.vertex_mask)
-    cut = _cut_vertices(g.n, g.rows)
+    cut = _cut_vertices(g.rows, g.vertex_mask)
     connected = len(comps) <= 1
     return ConnectivityReport(
         connected=connected,

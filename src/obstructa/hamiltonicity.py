@@ -1,10 +1,15 @@
 """Exact Hamiltonian cycle/path search and the obstruction decision procedure.
 
-The searches are complete backtracking over vertex sequences with three
+There is one search, a complete backtracking over vertex sequences that
+finds a Hamiltonian cycle of the subgraph induced on a vertex mask, with four
 safe prunings: a global minimum-degree test, a connectivity test on the
-unvisited region, and an available-neighbor count for every unvisited
-vertex.  Branching is deterministic (anchored start, neighbors ascending),
-so returned witnesses are stable across runs.
+unvisited region, an available-neighbor count for every unvisited vertex,
+and a closing rule.  Once the path has left its anchor s, an unvisited vertex
+whose only two available neighbors include s must be s's closing neighbor,
+and s has only one left, so two such vertices cut the branch.  A path search
+is the cycle search on the graph plus an apex joined to every vertex.
+Branching is deterministic (anchored start, neighbors ascending), so
+returned witnesses are stable across runs.
 """
 
 from __future__ import annotations
@@ -16,11 +21,11 @@ from .errors import TooLarge
 from .graphs import (
     Certificate,
     Graph,
+    _cut_vertices,
     bits,
     connectivity_report,
     flood,
-    induced_rows,
-    is_two_connected,
+    is_connected_masked,
     min_degree2_subsets,
 )
 
@@ -33,98 +38,77 @@ class HamResult:
     order: Optional[tuple[int, ...]] = None
 
 
-def _cycle_search(n: int, rows: tuple[int, ...]) -> Optional[tuple[int, ...]]:
-    if n < 3:
+def _cycle_search(rows: tuple[int, ...], within: int) -> Optional[tuple[int, ...]]:
+    """A Hamiltonian cycle of the subgraph induced on the mask ``within``,
+    anchored at its least vertex s with the smaller closing neighbor second,
+    or None.  Only s's degree is tested up front: the first prune tests
+    every other vertex's."""
+    s = (within & -within).bit_length() - 1
+    if within.bit_count() < 3 or (rows[s] & within).bit_count() < 2:
         return None
-    if any(r.bit_count() < 2 for r in rows):
-        return None
-    full = (1 << n) - 1
-    path = [0]
+    sbit = 1 << s
+    path = [s]
 
-    def prune(cur: int, visited: int) -> bool:
-        remaining = full & ~visited
-        # vertex 0 still needs its closing neighbor
-        if rows[0] & (remaining | 1 << cur) == 0:
-            return True
-        # every unvisited vertex needs two neighbors among remaining+cur+0
-        avail = remaining | 1 << cur | 1
+    def extend(cur: int, remaining: int) -> bool:
+        if not remaining:
+            # close the cycle; orientation fixed by path[1] < path[-1]
+            return bool(rows[cur] & sbit) and path[1] < path[-1]
+        # s still needs its closing neighbor
+        if rows[s] & (remaining | 1 << cur) == 0:
+            return False
+        # every unvisited vertex needs two neighbors among remaining+cur+s,
+        # and once the path has left s at most one of them may have s as one
+        # of exactly two: each such vertex must be s's closing neighbor
+        avail = remaining | 1 << cur | sbit
+        closing = sbit if cur != s else 0
+        forced = 0
         for w in bits(remaining):
-            if (rows[w] & avail).bit_count() < 2:
-                return True
+            r = rows[w] & avail
+            c = r.bit_count()
+            if c < 2:
+                return False
+            if c == 2 and r & closing:
+                forced += 1
+                if forced > 1:
+                    return False
         # unvisited region plus the current endpoint must be connected
         region = remaining | 1 << cur
-        return flood(rows, 1 << cur, region) != region
-
-    def extend(cur: int, visited: int) -> bool:
-        if visited == full:
-            # close the cycle; orientation fixed by path[1] < path[-1]
-            return bool(rows[cur] & 1) and path[1] < path[-1]
-        if prune(cur, visited):
+        if flood(rows, 1 << cur, region) != region:
             return False
-        for w in bits(rows[cur] & ~visited):
+        for w in bits(rows[cur] & remaining):
             path.append(w)
-            if extend(w, visited | 1 << w):
+            if extend(w, remaining ^ 1 << w):
                 return True
             path.pop()
         return False
 
-    if extend(0, 1):
+    if extend(s, within ^ sbit):
         return tuple(path)
     return None
 
 
 def find_hamiltonian_cycle(g: Graph) -> HamResult:
     """Exact search; a found cycle starts at 0 with its smaller neighbor second."""
-    cycle = _cycle_search(g.n, g.rows)
+    cycle = _cycle_search(g.rows, g.vertex_mask)
     return HamResult(cycle is not None, cycle)
 
 
-def _path_search(n: int, rows: tuple[int, ...]) -> Optional[tuple[int, ...]]:
-    if n == 0:
-        return None
-    if n == 1:
-        return (0,)
-    full = (1 << n) - 1
-    path: list[int] = []
-
-    def prune(cur: int, visited: int) -> bool:
-        remaining = full & ~visited
-        avail = remaining | 1 << cur
-        ones = 0
-        for w in bits(remaining):
-            c = (rows[w] & avail).bit_count()
-            if c == 0:
-                return True
-            if c == 1:
-                ones += 1
-                if ones > 1:
-                    return True
-        region = remaining | 1 << cur
-        return flood(rows, 1 << cur, region) != region
-
-    def extend(cur: int, visited: int) -> bool:
-        if visited == full:
-            return True
-        if prune(cur, visited):
-            return False
-        for w in bits(rows[cur] & ~visited):
-            path.append(w)
-            if extend(w, visited | 1 << w):
-                return True
-            path.pop()
-        return False
-
-    for start in range(n):
-        path = [start]
-        if extend(start, 1 << start):
-            return tuple(path)
-    return None
-
-
 def find_hamiltonian_path(g: Graph) -> HamResult:
-    """Exact search, deterministic: first path in lexicographic DFS order."""
-    p = _path_search(g.n, g.rows)
-    return HamResult(p is not None, p)
+    """Exact search, deterministic: the lexicographically first path.
+
+    This is the cycle search on G plus an apex 0 joined to every vertex (G's
+    vertex v becomes v + 1): the apex's neighbors are tried in ascending
+    order as the path's start, and the first path starts below its end (else
+    its reversal would come first), so the orientation rule rejects nothing
+    before it."""
+    if g.n == 1:
+        return HamResult(True, (0,))
+    full = g.vertex_mask
+    rows = (full << 1,) + tuple(r << 1 | 1 for r in g.rows)
+    cycle = _cycle_search(rows, full << 1 | 1)
+    if cycle is None:
+        return HamResult(False)
+    return HamResult(True, tuple(v - 1 for v in cycle[1:]))
 
 
 def is_hamiltonian_cycle(g: Graph, order: tuple[int, ...]) -> bool:
@@ -164,11 +148,15 @@ def is_hc_obstruction(g: Graph) -> ObstructionVerdict:
             witness = Certificate("CutVertex", (min(report.cut_vertices),))
         return ObstructionVerdict(False, "NotTwoConnected", witness)
     rows = g.rows
-    cycle = _cycle_search(g.n, rows)
+    cycle = _cycle_search(rows, g.vertex_mask)
     if cycle is not None:
         return ObstructionVerdict(False, "Hamiltonian", Certificate("HamCycle", cycle))
-    for subset, _ in min_degree2_subsets(rows, range(g.n - 1, 2, -1)):
-        sub = induced_rows(rows, subset)
-        if is_two_connected(len(sub), sub) and _cycle_search(len(sub), sub) is None:
+    # each subset is read through its mask: connected, no cut vertex, no cycle
+    for subset, sub in min_degree2_subsets(rows, range(g.n - 1, 2, -1)):
+        if (
+            is_connected_masked(rows, sub)
+            and not _cut_vertices(rows, sub)
+            and _cycle_search(rows, sub) is None
+        ):
             return ObstructionVerdict(False, "NonMinimal", Certificate("Embedding", subset))
     return ObstructionVerdict(True)

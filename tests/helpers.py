@@ -134,6 +134,26 @@ def ham_path_brute(g: Graph) -> bool:
     return False
 
 
+def first_ham_path_brute(g: Graph) -> Optional[tuple[int, ...]]:
+    """The lexicographically first Hamiltonian path, by permutation order."""
+    for perm in itertools.permutations(range(g.n)):
+        if g.n and all(g.rows[a] >> b & 1 for a, b in zip(perm, perm[1:])):
+            return perm
+    return None
+
+
+def first_ham_cycle_brute(g: Graph) -> Optional[tuple[int, ...]]:
+    """The first Hamiltonian cycle, by permutation order, that starts at 0
+    with its second vertex below its last."""
+    if g.n < 3:
+        return None
+    for perm in itertools.permutations(range(1, g.n)):
+        cyc = (0,) + perm
+        if perm[0] < perm[-1] and all(g.rows[a] >> b & 1 for a, b in zip(cyc, perm + (0,))):
+            return cyc
+    return None
+
+
 def is_induced_cycle(g: Graph, seq: tuple[int, ...]) -> bool:
     """``seq`` lists, in cycle order, the distinct vertices of an induced cycle."""
     k = len(seq)

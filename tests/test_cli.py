@@ -151,6 +151,14 @@ class TestDecompose:
         steps = json.loads(res.output)
         assert steps[0].get("error") == "NotTwoConnected"
 
+    def test_too_large_exit_3(self):
+        # the cap is checked before the first step: K_17's clique listing
+        # alone would be exponential
+        res = run("decompose", encode_graph6(helpers.complete(17)))
+        assert res.exit_code == 3
+        assert res.stdout == ""
+        assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1
+
     def test_theta_plus_ambiguous(self):
         res = run("decompose", "theta+1:2,2,2")
         steps = json.loads(res.output)

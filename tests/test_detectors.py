@@ -267,7 +267,9 @@ class TestClassify:
         searched = []
         real_search = hamiltonicity._cycle_search
         monkeypatch.setattr(
-            hamiltonicity, "_cycle_search", lambda n, rows: searched.append(n) or real_search(n, rows)
+            hamiltonicity,
+            "_cycle_search",
+            lambda rows, within: searched.append(within.bit_count()) or real_search(rows, within),
         )
         for spec in all_specs_up_to(12):
             g = build_3pc(spec)

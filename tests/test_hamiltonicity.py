@@ -78,9 +78,18 @@ class TestPathSearch:
 
 class TestOracleAgreement:
     def test_cycle_agrees_with_brute_small_atlas(self, atlas8):
+        # the witness too: the oracle's first cycle in permutation order
         for n in range(1, 8):
             for g in atlas8[n]:
-                assert find_hamiltonian_cycle(g).found == helpers.ham_cycle_brute(g), g
+                assert find_hamiltonian_cycle(g).order == helpers.first_ham_cycle_brute(g), g
+
+    def test_first_path_is_lexicographically_first(self, atlas8):
+        # the apex search returns exactly the first path in permutation order
+        assert find_hamiltonian_path(graph_from_edges(0, [])).order is None
+        assert find_hamiltonian_path(graph_from_edges(2, [])).order is None
+        for n in range(1, 7):
+            for g in atlas8[n]:
+                assert find_hamiltonian_path(g).order == helpers.first_ham_path_brute(g), g
 
     def test_path_agrees_with_brute_small_atlas(self, atlas8):
         for n in range(1, 8):
