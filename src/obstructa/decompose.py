@@ -10,7 +10,7 @@ from itertools import combinations
 from typing import Iterator, Optional
 
 from .errors import AmbiguousMidpoints, NotConnected, NotTwoConnected, PreconditionViolated
-from .families import PYRAMID, THETA, family_tables
+from .families import PYRAMID, THETA
 from .graphs import (
     Certificate,
     Graph,
@@ -25,7 +25,7 @@ from .graphs import (
     is_two_connected,
     mask_of,
 )
-from .detectors import find_induced_wheel, scan_contains_family
+from .detectors import find_induced_wheel, induced_3pcs
 
 
 # ---------------------------------------------------------------------------
@@ -501,9 +501,9 @@ def is_only_prism(g: Graph) -> bool:
     """(theta, wheel, pyramid)-free; the plus variants are not excluded."""
     if find_induced_wheel(g) is not None:
         return False
-    if scan_contains_family(g.n, g.rows, family_tables(g.n, THETA, False)):
-        return False
-    return not scan_contains_family(g.n, g.rows, family_tables(g.n, PYRAMID, False))
+    return not any(
+        spec.kind in (THETA, PYRAMID) and not spec.chords for spec, _ in induced_3pcs(g.rows)
+    )
 
 
 def check_only_prism_dichotomy(g: Graph) -> DichotomyResult:

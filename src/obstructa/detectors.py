@@ -4,9 +4,9 @@ A wheel here is the inclusive convention used throughout this package: a rim
 cycle of any length >= 3 plus a hub with at least three rim neighbors, so K4
 is a wheel.  Containment means an induced subgraph isomorphic to some wheel,
 equivalently an induced cycle of G and a vertex off it with >= 3 neighbors
-on it; the wheel search walks the induced cycles of G once.  The 3PC search
-walks vertex subsets of minimum induced degree 2 and reads each one whose
-degree signature fits a 3PC by its three-path skeleton
+on it; the wheel search walks the induced cycles of G once.  The 3PC search,
+:func:`induced_3pcs`, walks vertex subsets of minimum induced degree 2 and
+reads each one by its three-path skeleton
 (:func:`obstructa.families.spec_of_rows`); nothing is canonically labeled.
 """
 
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
 from .errors import TooLarge
-from .families import ThreePcSpec, family_tables, format_spec, recognize_3pc, spec_of_rows
+from .families import ThreePcSpec, format_spec, recognize_3pc, spec_of_rows
 from .graphs import Graph, bits, min_degree2_subsets
 from .hamiltonicity import is_hc_obstruction
 
@@ -94,44 +94,37 @@ def contains_induced_wheel(n: int, rows: tuple[int, ...]) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _first_in_tables(
-    rows: tuple[int, ...], tables
-) -> Optional[tuple[ThreePcSpec, tuple[int, ...]]]:
-    """First vertex subset (size ascending, then lexicographic) whose induced
-    subgraph is a 3PC with its spec in the tables, with that spec.
+def induced_3pcs(rows: Sequence[int]) -> Iterator[tuple[ThreePcSpec, tuple[int, ...]]]:
+    """(canonical spec, ascending vertex tuple) of every vertex subset whose
+    induced subgraph is a 3PC, size ascending, then lexicographic.
 
-    ``tables`` maps subgraph order k to (degree-signature set, spec set) as
-    produced by :func:`obstructa.families.family_tables`.  Subsets come from
-    :func:`obstructa.graphs.min_degree2_subsets`, which never visits a prefix
-    that cannot reach induced degree 2, so sparse graphs skip most of the
-    2^n subsets and dense ones do not.  A subset whose (edge count, degree
-    sequence) signature is in the table is read by
-    :func:`obstructa.families.spec_of_rows`; no subset is labeled.
+    Subsets come from :func:`obstructa.graphs.min_degree2_subsets`, which
+    never visits a prefix that cannot reach induced degree 2, so sparse
+    graphs skip most of the 2^n subsets and dense ones do not.  Each is read
+    by :func:`obstructa.families.spec_of_rows`; no subset is labeled.
     """
-    for subset, sub in min_degree2_subsets(rows, sorted(tables)):
-        sigs, specs = tables[len(subset)]
-        degs = [(rows[v] & sub).bit_count() for v in subset]
-        if (sum(degs) // 2, tuple(sorted(degs))) not in sigs:
-            continue
+    for subset, sub in min_degree2_subsets(rows, range(5, len(rows) + 1)):
         spec = spec_of_rows(rows, sub)
-        if spec in specs:
-            return spec, subset
-    return None
+        if spec is not None:
+            yield spec, subset
 
 
 def find_induced_3pc(g: Graph) -> Optional[tuple[ThreePcSpec, frozenset[int]]]:
-    """First vertex subset (size ascending, then lexicographic) inducing a 3PC,
-    with its canonical spec, from :func:`_first_in_tables` over every spec
-    on at most g.n vertices."""
+    """The first of :func:`induced_3pcs`, with its vertex set, or None."""
     if g.n > DETECT_3PC_MAX_VERTICES:
         raise TooLarge(f"3PC detection capped at {DETECT_3PC_MAX_VERTICES} vertices")
-    hit = _first_in_tables(g.rows, family_tables(g.n))
+    hit = next(induced_3pcs(g.rows), None)
     return None if hit is None else (hit[0], frozenset(hit[1]))
 
 
 def scan_contains_family(n: int, rows: tuple[int, ...], tables) -> bool:
-    """Does some induced subgraph land in ``tables`` (see :func:`_first_in_tables`)?"""
-    return _first_in_tables(rows, tables) is not None
+    """Does some induced 3PC of :func:`induced_3pcs` have its spec in
+    ``tables`` (from :func:`obstructa.families.family_tables`)?  Kept, with
+    its unread ``n``, only for ``perfbench/layers.py``."""
+    return any(
+        len(subset) in tables and spec in tables[len(subset)][1]
+        for spec, subset in induced_3pcs(rows)
+    )
 
 
 # ---------------------------------------------------------------------------

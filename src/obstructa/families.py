@@ -87,6 +87,8 @@ class ThreePcSpec:
         if len(lengths) != 3:
             raise InvalidLengths(f"need exactly three lengths, got {lengths}")
         chordset = frozenset(chords)
+        if not chordset <= {1, 2, 3}:
+            raise SpecSyntaxError(f"chords must select paths 1..3, got {set(chordset)}")
         if kind == THETA:
             if len(chordset) > 1:
                 raise TooManyThetaChords("a theta admits at most one chord")
@@ -243,11 +245,6 @@ def all_specs_up_to(max_n: int) -> list[ThreePcSpec]:
     return out
 
 
-@lru_cache(maxsize=None)
-def _degree_signature(spec: ThreePcSpec) -> tuple[int, ...]:
-    return build_3pc(spec).degree_sequence()
-
-
 def spec_of_rows(rows: Sequence[int], sub: int) -> Optional[ThreePcSpec]:
     """The canonical spec of the graph induced on the vertex mask ``sub``, or
     None if that graph is not a 3PC, read off its three-path skeleton.
@@ -342,29 +339,22 @@ def recognize_3pc(g: Graph) -> Optional[ThreePcSpec]:
 
 
 # ---------------------------------------------------------------------------
-# spec tables used by the bulk detectors
+# spec tables, kept for perfbench/layers.py
 # ---------------------------------------------------------------------------
 
 
 @lru_cache(maxsize=None)
-def family_tables(max_n: int, kind: Optional[str] = None, chorded: Optional[bool] = None):
-    """Per-n tables {n: (degree-signature set, frozenset of specs)} over the
-    specs on 5..max_n vertices; a subset lands in a table when its (edge
-    count, degree sequence) is in the signature set and
-    :func:`spec_of_rows` gives one of the specs.
-
-    ``kind``/``chorded`` filter the spec space; None means no constraint.
-    """
-    tables: dict[int, tuple[set, frozenset]] = {}
+def family_tables(max_n: int):
+    """Per-n tables {n: ((edge count, degree sequence) set, frozenset of
+    specs)} over the specs on 5..max_n vertices.  No detector reads them;
+    they are kept only because ``perfbench/layers.py`` gates recognition on
+    the signature set and passes the tables to
+    :func:`obstructa.detectors.scan_contains_family`."""
+    tables = {}
     for n in range(5, max_n + 1):
-        specs = frozenset(
-            spec
-            for spec in specs_with_vertex_count(n)
-            if (kind is None or spec.kind == kind)
-            and (chorded is None or bool(spec.chords) == chorded)
-        )
-        if specs:
-            tables[n] = ({(s.edge_count, _degree_signature(s)) for s in specs}, specs)
+        specs = specs_with_vertex_count(n)
+        sigs = {(s.edge_count, build_3pc(s).degree_sequence()) for s in specs}
+        tables[n] = (sigs, frozenset(specs))
     return tables
 
 

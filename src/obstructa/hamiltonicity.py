@@ -23,7 +23,6 @@ from .graphs import (
     Graph,
     _cut_vertices,
     bits,
-    connectivity_report,
     flood,
     is_connected_masked,
     min_degree2_subsets,
@@ -141,14 +140,12 @@ def is_hc_obstruction(g: Graph) -> ObstructionVerdict:
     Hamiltonian cycle, or the first subset that breaks minimality."""
     if g.n > OBSTRUCTION_MAX_VERTICES:
         raise TooLarge(f"obstruction check capped at {OBSTRUCTION_MAX_VERTICES} vertices")
-    report = connectivity_report(g)
-    if not report.two_connected:
-        witness = None
-        if report.cut_vertices:
-            witness = Certificate("CutVertex", (min(report.cut_vertices),))
+    rows, full = g.rows, g.vertex_mask
+    cut = _cut_vertices(rows, full)
+    if g.n < 3 or cut or not is_connected_masked(rows, full):
+        witness = Certificate("CutVertex", ((cut & -cut).bit_length() - 1,)) if cut else None
         return ObstructionVerdict(False, "NotTwoConnected", witness)
-    rows = g.rows
-    cycle = _cycle_search(rows, g.vertex_mask)
+    cycle = _cycle_search(rows, full)
     if cycle is not None:
         return ObstructionVerdict(False, "Hamiltonian", Certificate("HamCycle", cycle))
     # each subset is read through its mask: connected, no cut vertex, no cycle

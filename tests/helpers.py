@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from typing import Optional
+from typing import Iterator, Optional
 
 from hypothesis import strategies as st
 
@@ -342,14 +342,20 @@ def recognize_3pc_oracle(g: Graph) -> Optional[ThreePcSpec]:
     return next((spec for spec, form in candidates if form == mine), None)
 
 
-def find_induced_3pc_oracle(g: Graph) -> Optional[tuple[ThreePcSpec, frozenset[int]]]:
-    """First vertex subset (size ascending, then lexicographic) inducing a
-    3PC, with its spec: every combination of minimum induced degree 2 goes
-    through :func:`recognize_3pc_oracle`."""
+def induced_3pcs_oracle(g: Graph) -> Iterator[tuple[ThreePcSpec, tuple[int, ...]]]:
+    """(spec, vertex tuple) of every vertex subset inducing a 3PC, size
+    ascending, then lexicographic: every combination of minimum induced
+    degree 2 goes through :func:`recognize_3pc_oracle`."""
     for subset, _ in min_degree2_subsets_oracle(g.rows, range(5, g.n + 1)):
         spec = recognize_3pc_oracle(Graph(len(subset), induced_rows(g.rows, subset)))
         if spec is not None:
-            return spec, frozenset(subset)
+            yield spec, subset
+
+
+def find_induced_3pc_oracle(g: Graph) -> Optional[tuple[ThreePcSpec, frozenset[int]]]:
+    """The first of :func:`induced_3pcs_oracle`, with its vertex set."""
+    for spec, subset in induced_3pcs_oracle(g):
+        return spec, frozenset(subset)
     return None
 
 

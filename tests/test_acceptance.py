@@ -33,6 +33,7 @@ from obstructa.detectors import (
     contains_induced_wheel,
     find_induced_3pc,
     find_induced_wheel,
+    induced_3pcs,
     scan_contains_family,
 )
 from obstructa.enumeration import TWO_CONNECTED, WHEEL_FREE, _forms_for, verify_main_theorem
@@ -215,14 +216,11 @@ def test_criterion_6_only_prism_dichotomy(connected):
     checked = 0
     line_graph_branch = 0
     for n in range(1, ATLAS_MAX_N + 1):
-        theta_tables = family_tables(n, "theta", False)
-        pyramid_tables = family_tables(n, "pyramid", False)
         for g, wheel_free in connected[n]:
-            if not wheel_free:
-                continue
-            if scan_contains_family(g.n, g.rows, theta_tables):
-                continue
-            if scan_contains_family(g.n, g.rows, pyramid_tables):
+            if not wheel_free or any(
+                spec.kind in ("theta", "pyramid") and not spec.chords
+                for spec, _ in induced_3pcs(g.rows)
+            ):
                 continue
             checked += 1
             res = check_only_prism_dichotomy(g)

@@ -343,6 +343,18 @@ class TestDichotomies:
         assert not is_only_prism(build_3pc(ThreePcSpec.of("pyramid", (2, 2, 2))))
         assert is_only_prism(build_3pc(ThreePcSpec.of("prism", (2, 2, 2))))
 
+    def test_is_only_prism_matches_definition_oracle(self, atlas8):
+        # no induced wheel and no induced theta or pyramid without chords,
+        # each read from the definition on every vertex subset
+        for n in range(8):
+            for g in atlas8[n]:
+                banned = any(
+                    spec.kind in ("theta", "pyramid") and not spec.chords
+                    for spec, _ in helpers.induced_3pcs_oracle(g)
+                )
+                want = not helpers.wheel_subset_oracle(g) and not banned
+                assert is_only_prism(g) == want, g
+
     def test_chordless_dichotomy_examples(self):
         assert check_chordless_dichotomy(build_3pc(ThreePcSpec.of("theta", (2, 2, 2)))).branch == "TwoSparse"
         assert check_chordless_dichotomy(helpers.complete_bipartite(2, 6)).branch == "TwoSparse"

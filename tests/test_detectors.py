@@ -170,12 +170,22 @@ class TestThreePcDetector:
                 if is_two_connected(g):
                     assert find_induced_3pc(g) == helpers.find_induced_3pc_oracle(g), g
 
-    def test_too_large(self, monkeypatch):
-        # the cap is checked before any spec table is built
-        def no_tables(*args):
-            raise AssertionError("family_tables called above the cap")
+    def test_induced_3pcs_match_oracle_on_two_connected_classes(self, atlas8):
+        # every (spec, subset) in order, against the canonical-lookup oracle
+        # on every minimum-degree-2 combination
+        for n in range(5, 8):
+            for g in atlas8[n]:
+                if is_two_connected(g):
+                    assert list(detectors.induced_3pcs(g.rows)) == list(
+                        helpers.induced_3pcs_oracle(g)
+                    ), g
 
-        monkeypatch.setattr(detectors, "family_tables", no_tables)
+    def test_too_large(self, monkeypatch):
+        # the cap is checked before the subset walk starts
+        def no_walk(*args):
+            raise AssertionError("subset walk started above the cap")
+
+        monkeypatch.setattr(detectors, "min_degree2_subsets", no_walk)
         with pytest.raises(TooLarge):
             find_induced_3pc(graph_from_edges(21, []))
 
@@ -260,9 +270,9 @@ class TestClassify:
         # 2-connected graph gets exactly one Hamiltonian cycle search over all
         # its vertices, any other graph none
         scans = []
-        real_scan = detectors._first_in_tables
+        real_scan = detectors.induced_3pcs
         monkeypatch.setattr(
-            detectors, "_first_in_tables", lambda rows, t: scans.append(rows) or real_scan(rows, t)
+            detectors, "induced_3pcs", lambda rows: scans.append(rows) or real_scan(rows)
         )
         searched = []
         real_search = hamiltonicity._cycle_search
@@ -284,6 +294,28 @@ class TestClassify:
             assert searched.count(g.n) == is_two_connected(g), g
         # every graph that is not itself a 3PC gets the scan, once
         assert len(scans) == sum(recognize_3pc(g) is None for g in others)
+
+    def test_no_spec_graph_is_built(self, atlas8, monkeypatch):
+        # 3PCs are read off skeletons, so neither classify nor the survey
+        # builds a spec graph, not even for a table of degree signatures
+        from obstructa import families
+        from obstructa.enumeration import verify_main_theorem
+
+        built = []
+        real_build = families.build_3pc
+        monkeypatch.setattr(
+            families, "build_3pc", lambda spec: built.append(spec) or real_build(spec)
+        )
+        families.family_tables.cache_clear()
+        monkeypatch.syspath_prepend(str(PERFBENCH))
+        corpus = importlib.import_module("corpus")
+        for e in corpus.generate(1, 1):
+            classify(decode_graph6(e.graph6))
+        for n in range(8):
+            for g in atlas8[n]:
+                classify(g)
+        verify_main_theorem(7, jobs=1)
+        assert built == []
 
 
 class TestCharacterizationProperties:

@@ -74,6 +74,14 @@ class TestSpecCanonicalization:
         with pytest.raises(TooManyThetaChords):
             ThreePcSpec.of("theta", (2, 2, 2), {1, 2})
 
+    @pytest.mark.parametrize(
+        "kind, lengths, chords",
+        [("prism", (2, 2, 2), (4,)), ("pyramid", (2, 3, 4), (0,)), ("theta", (2, 2, 2), (7,))],
+    )
+    def test_chord_outside_the_paths_rejected(self, kind, lengths, chords):
+        with pytest.raises(SpecSyntaxError):
+            ThreePcSpec.of(kind, lengths, chords)
+
     def test_direct_constructor_requires_canonical(self):
         with pytest.raises(SpecSyntaxError):
             ThreePcSpec("prism", (3, 2, 2), frozenset())
@@ -157,7 +165,7 @@ class TestRecognition:
 
     def test_recognition_labels_nothing(self, monkeypatch):
         # the skeleton reader labels no graph: not the input, no spec, no
-        # candidate subset, and not the spec tables the subset scan reads
+        # candidate subset, and not the spec tables kept for the benchmark
         from obstructa import canon, families
         from obstructa.decompose import is_only_prism
         from obstructa.detectors import find_induced_3pc
