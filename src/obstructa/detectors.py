@@ -152,29 +152,21 @@ class ClassificationRecord:
         }
 
 
-def classify_with(
-    g: Graph, recognized: Optional[ThreePcSpec], wheel_free: bool
-) -> ClassificationRecord:
-    """The record of G from the facts its caller has already decided: the
-    spec :func:`obstructa.families.recognize_3pc` gives G, and whether G is
-    wheel-free.  A recognized 3PC needs no subset scan.  The rest comes from
-    one :func:`obstructa.hamiltonicity.is_hc_obstruction` verdict: a graph
-    that is not 2-connected has no Hamiltonian cycle, so its failure reason
+def classify(g: Graph) -> ClassificationRecord:
+    """Full per-graph verdict vector.  A recognized 3PC needs no subset
+    scan.  The rest comes from one
+    :func:`obstructa.hamiltonicity.is_hc_obstruction` verdict: a graph that
+    is not 2-connected has no Hamiltonian cycle, so its failure reason
     decides both 2-connectivity and Hamiltonicity."""
+    if g.n > CLASSIFY_MAX_VERTICES:
+        raise TooLarge(f"classification capped at {CLASSIFY_MAX_VERTICES} vertices")
+    recognized = recognize_3pc(g)
     verdict = is_hc_obstruction(g)
     return ClassificationRecord(
         two_connected=verdict.failure_reason != "NotTwoConnected",
-        wheel_free=wheel_free,
+        wheel_free=find_induced_wheel(g) is None,
         contains_3pc=recognized is not None or find_induced_3pc(g) is not None,
         hamiltonian=verdict.failure_reason == "Hamiltonian",
         hc_obstruction=verdict.is_obstruction,
         recognized_3pc=recognized,
     )
-
-
-def classify(g: Graph) -> ClassificationRecord:
-    """Full per-graph verdict vector: the 3PC recognition and the wheel search,
-    then :func:`classify_with`, which the census survey shares."""
-    if g.n > CLASSIFY_MAX_VERTICES:
-        raise TooLarge(f"classification capped at {CLASSIFY_MAX_VERTICES} vertices")
-    return classify_with(g, recognize_3pc(g), find_induced_wheel(g) is None)

@@ -25,15 +25,19 @@ vertex's mask M when its form is first seen, and kept with the forms:
   induced cycle of P (no hub), and no induced cycle through the new vertex
   has a vertex off it with >= 3 neighbours on it (no rim).
 
-The census surveys the wheel-free 2-connected classes and checks, class by
-class, the two directions of the main characterization:
+The census verifies the main characterization through two checks per n:
 
-* every 2-connected wheel-free graph with no induced 3PC is Hamiltonian;
-* a 2-connected wheel-free graph is an HC-obstruction exactly when it is a
-  3PC.
+* (a) every wheel-free 2-connected class with no induced 3PC has a
+  Hamiltonian cycle;
+* (b) every wheel-free 3PC spec on n vertices is an HC-obstruction.
 
-Each surveyed class gets the record ``check`` prints
-(:func:`obstructa.detectors.classify_with`), and the census counts its fields.
+When both pass at every size up to n, the theorem holds up to n.  Let G be
+a wheel-free HC-obstruction.  It is not Hamiltonian, so by (a) it has an
+induced 3PC H, which is wheel-free since G is, and an HC-obstruction by
+(b); so H is 2-connected and not Hamiltonian, and G's minimality makes
+H = G.  Conversely each wheel-free 3PC is an HC-obstruction by (b).  So,
+with no counterexample listed, the wheel-free specs that pass (b) are the
+wheel-free HC-obstructions, and no class is classified one by one.
 
 Chorded pyramid variants are HC-obstructions but contain induced wheels
 (deleting the chorded path's internals leaves a short pyramid, which is a
@@ -45,16 +49,16 @@ number of canonical specs on n vertices, which are pairwise non-isomorphic.
 from __future__ import annotations
 
 import os
-from collections import Counter
 from dataclasses import asdict, dataclass, fields, replace
 from itertools import combinations
 from typing import Callable, Iterator, Optional
 
 from .canon import _canonical_search, canonical_rows, encode_form, graph_from_canonical
 from .errors import InvalidJobCount, TooLarge
-from .families import recognize_3pc, specs_with_vertex_count
+from .families import build_3pc, specs_with_vertex_count
 from .graphs import Graph, _cut_vertices, bits, component_masks, encode_graph6, flood
-from .detectors import classify_with, find_wheel_through, induced_cycles
+from .detectors import find_induced_3pc, find_induced_wheel, find_wheel_through, induced_cycles
+from .hamiltonicity import find_hamiltonian_cycle, is_hc_obstruction
 
 ENUMERATION_MAX_VERTICES = 9
 
@@ -89,12 +93,10 @@ def _map_chunks(fn: Callable, items: list, jobs: int) -> list:
     64 items per worker.  A pool round trip costs about 10 ms on 2 cores,
     more than the whole stage below that size (the 34 parents of n = 6 take
     16 ms to extend in one process) and less than half of it above (the
-    156 parents of n = 7 take 100 ms).  The survey gets only the wheel-free
-    2-connected classes, so the count is of classes it works on.  Callers
-    merge the results by dict union and by sums, so the split never changes
-    them.
+    156 parents of n = 7 take 100 ms).  Generation, the one caller, merges
+    the results by dict union, so the split never changes them.
 
-    The pool (one per vertex count and stage) starts its workers with the
+    The pool (one per vertex count) starts its workers with the
     platform's default method.  Only module-level functions and picklable
     arguments cross it, so ``fork`` and ``spawn`` compute the same results.
     """
@@ -289,8 +291,6 @@ class CensusRow:
 
 
 CSV_COLUMNS = tuple(f.name for f in fields(CensusRow))
-# counted per class; the facts and the spec tables give the rest
-_SURVEY_COLUMNS = tuple(c for c in CSV_COLUMNS[4:] if c != "recognized_3pcs")
 
 
 @dataclass(frozen=True, slots=True)
@@ -329,49 +329,50 @@ class CensusReport:
         return "\n".join(lines) + "\n"
 
 
-def _survey_chunk(forms: list[bytes]) -> tuple[dict[str, int], list[bytes]]:
-    """Counts of a chunk of wheel-free 2-connected classes, given by
-    canonical form, and its counterexamples.
-
-    Each class gets its :func:`obstructa.detectors.classify_with` record,
-    whose fields the counts add up.  It is a counterexample when it is an
-    HC-obstruction exactly when it is not a 3PC, or when it has neither an
-    induced 3PC nor a Hamiltonian cycle.
-    """
-    counts = dict.fromkeys(_SURVEY_COLUMNS, 0)
-    counterexamples: list[bytes] = []
-    for form in forms:
-        g = graph_from_canonical(form)
-        recognized = recognize_3pc(g)
-        is_3pc = recognized is not None
-        rec = classify_with(g, recognized, True)
-        counts["wheel_free_3pcs"] += is_3pc
-        counts["three_pc_free_among_those"] += not rec.contains_3pc
-        counts["hamiltonian_among_those"] += rec.hamiltonian and not rec.contains_3pc
-        counts["hc_obstructions_wheel_free"] += rec.hc_obstruction
-        if rec.hc_obstruction != is_3pc or not (rec.contains_3pc or rec.hamiltonian):
-            counterexamples.append(form)
-    return counts, counterexamples
+def _check_specs(n: int) -> tuple[int, int, list[str]]:
+    """Check (b) on n vertices: the number of wheel-free 3PC specs, how many
+    of them pass :func:`obstructa.hamiltonicity.is_hc_obstruction`, and the
+    graph6 of the canonical form of each one that fails."""
+    wheel_free = [
+        g for g in map(build_3pc, specs_with_vertex_count(n)) if find_induced_wheel(g) is None
+    ]
+    failed = [g for g in wheel_free if not is_hc_obstruction(g).is_obstruction]
+    bad = [encode_graph6(Graph(g.n, canonical_rows(g.n, g.rows))) for g in failed]
+    return len(wheel_free), len(wheel_free) - len(failed), bad
 
 
 def verify_main_theorem(max_n: int, jobs: Optional[int] = None) -> CensusReport:
-    """Census plus the graph6 of every counterexample to either theorem
-    direction, sorted.  Only the classes whose facts byte says 2-connected
-    and wheel-free are surveyed."""
+    """Census plus the graph6 of every counterexample, sorted: each
+    wheel-free 2-connected class with no induced 3PC and no Hamiltonian
+    cycle (check (a)), and each wheel-free 3PC spec that is no
+    HC-obstruction (check (b)).  The classes come from the facts bytes;
+    none is tested for 2-connectivity or wheels."""
     _check_vertex_count(max_n, "verification")
     jobs = resolve_jobs(jobs)
     rows = []
     counterexamples: set[str] = set()
+    both = TWO_CONNECTED | WHEEL_FREE
     for n in range(1, max_n + 1):
         forms, facts = _forms_for(n, jobs)
-        classes = [f for f, x in zip(forms, facts) if x & TWO_CONNECTED and x & WHEEL_FREE]
-        specs = len(specs_with_vertex_count(n))
-        counts = Counter(wheel_free_2conn=len(classes), recognized_3pcs=specs)
-        for part, bad in _map_chunks(_survey_chunk, classes, jobs):
-            counts.update(part)
-            counterexamples.update(encode_graph6(graph_from_canonical(f)) for f in bad)
-        two_connected = sum(1 for x in facts if x & TWO_CONNECTED)
-        rows.append(CensusRow(n=n, all=len(forms), two_connected=two_connected, **counts))
+        classes = [graph_from_canonical(f) for f, x in zip(forms, facts) if x & both == both]
+        free = [g for g in classes if find_induced_3pc(g) is None]
+        non_hamiltonian = [g for g in free if not find_hamiltonian_cycle(g).found]
+        counterexamples.update(map(encode_graph6, non_hamiltonian))
+        wheel_free_3pcs, obstructions, bad = _check_specs(n)
+        counterexamples.update(bad)
+        rows.append(
+            CensusRow(
+                n=n,
+                all=len(forms),
+                two_connected=sum(1 for x in facts if x & TWO_CONNECTED),
+                wheel_free_2conn=len(classes),
+                three_pc_free_among_those=len(free),
+                hamiltonian_among_those=len(free) - len(non_hamiltonian),
+                hc_obstructions_wheel_free=obstructions,
+                recognized_3pcs=len(specs_with_vertex_count(n)),
+                wheel_free_3pcs=wheel_free_3pcs,
+            )
+        )
     return CensusReport(max_n, tuple(rows), tuple(sorted(counterexamples)))
 
 

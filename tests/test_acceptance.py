@@ -29,18 +29,11 @@ from obstructa.decompose import (
     triangle_free,
     has_k4_minor,
 )
-from obstructa.detectors import (
-    contains_induced_wheel,
-    find_induced_3pc,
-    find_induced_wheel,
-    induced_3pcs,
-    scan_contains_family,
-)
+from obstructa.detectors import find_induced_3pc, find_induced_wheel, induced_3pcs
 from obstructa.enumeration import TWO_CONNECTED, WHEEL_FREE, _forms_for, verify_main_theorem
 from obstructa.families import (
     all_specs_up_to,
     build_3pc,
-    family_tables,
     specs_with_vertex_count,
 )
 from obstructa.graphs import (
@@ -70,7 +63,7 @@ def connected(atlas):
     out = {}
     for n in range(1, ATLAS_MAX_N + 1):
         out[n] = [
-            (g, not contains_induced_wheel(g.n, g.rows))
+            (g, find_induced_wheel(g) is None)
             for g in atlas[n]
             if is_connected_masked(g.rows, g.vertex_mask)
         ]
@@ -91,19 +84,11 @@ def wheelfree_facts(twoconn):
     """n -> [(graph, hamiltonian, contains_3pc)] over 2-connected wheel-free reps."""
     out = {}
     for n, rows in twoconn.items():
-        tables = family_tables(n)
-        facts = []
-        for g, wheel_free in rows:
-            if not wheel_free:
-                continue
-            facts.append(
-                (
-                    g,
-                    find_hamiltonian_cycle(g).found,
-                    scan_contains_family(g.n, g.rows, tables),
-                )
-            )
-        out[n] = facts
+        out[n] = [
+            (g, find_hamiltonian_cycle(g).found, find_induced_3pc(g) is not None)
+            for g, wheel_free in rows
+            if wheel_free
+        ]
     return out
 
 
@@ -321,8 +306,8 @@ def test_criterion_9_degree2_reduction_preserves_verdicts(twoconn):
         return (
             is_two_connected(g),
             find_hamiltonian_cycle(g).found,
-            not contains_induced_wheel(g.n, g.rows),
-            not scan_contains_family(g.n, g.rows, family_tables(g.n)),
+            find_induced_wheel(g) is None,
+            find_induced_3pc(g) is None,
         )
 
     checked = 0

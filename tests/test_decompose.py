@@ -383,8 +383,7 @@ class TestDichotomies:
 class TestReductionSafetySmall:
     def test_verdicts_preserved_small(self, atlas8):
         # full-scale version lives in the acceptance suite
-        from obstructa.detectors import find_induced_wheel, scan_contains_family
-        from obstructa.families import family_tables
+        from obstructa.detectors import find_induced_3pc, find_induced_wheel
         from obstructa.hamiltonicity import find_hamiltonian_cycle
 
         def verdicts(g):
@@ -392,7 +391,7 @@ class TestReductionSafetySmall:
                 is_two_connected(g),
                 find_hamiltonian_cycle(g).found,
                 find_induced_wheel(g) is None,
-                not scan_contains_family(g.n, g.rows, family_tables(g.n)),
+                find_induced_3pc(g) is None,
             )
 
         for n in range(3, 8):

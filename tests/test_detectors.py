@@ -2,6 +2,7 @@ import importlib
 import itertools
 import json
 import random
+import sys
 from pathlib import Path
 
 import pytest
@@ -13,7 +14,6 @@ from obstructa.detectors import (
     classify,
     find_induced_3pc,
     find_induced_wheel,
-    scan_contains_family,
 )
 from obstructa.errors import TooLarge
 from obstructa.families import (
@@ -23,7 +23,6 @@ from obstructa.families import (
     build_3pc,
     build_short_variant,
     build_wheel,
-    family_tables,
     format_spec,
     recognize_3pc,
 )
@@ -296,16 +295,19 @@ class TestClassify:
         assert len(scans) == sum(recognize_3pc(g) is None for g in others)
 
     def test_no_spec_graph_is_built(self, atlas8, monkeypatch):
-        # 3PCs are read off skeletons, so neither classify nor the survey
-        # builds a spec graph, not even for a table of degree signatures
+        # 3PCs are read off skeletons, so classify builds no spec graph, not
+        # even for a table of degree signatures; verify builds each spec once,
+        # for check (b), and no other
         from obstructa import families
         from obstructa.enumeration import verify_main_theorem
 
         built = []
         real_build = families.build_3pc
-        monkeypatch.setattr(
-            families, "build_3pc", lambda spec: built.append(spec) or real_build(spec)
-        )
+        for key, module in list(sys.modules.items()):
+            if key.startswith("obstructa") and getattr(module, "build_3pc", None) is real_build:
+                monkeypatch.setattr(
+                    module, "build_3pc", lambda spec: built.append(spec) or real_build(spec)
+                )
         families.family_tables.cache_clear()
         monkeypatch.syspath_prepend(str(PERFBENCH))
         corpus = importlib.import_module("corpus")
@@ -314,8 +316,9 @@ class TestClassify:
         for n in range(8):
             for g in atlas8[n]:
                 classify(g)
-        verify_main_theorem(7, jobs=1)
         assert built == []
+        verify_main_theorem(7, jobs=1)
+        assert built == all_specs_up_to(7) and len(built) == 12
 
 
 class TestCharacterizationProperties:
@@ -326,13 +329,12 @@ class TestCharacterizationProperties:
         from obstructa.hamiltonicity import find_hamiltonian_cycle
 
         for n in range(3, 8):
-            tables = family_tables(n)
             for g in atlas8[n]:
                 if not is_two_connected(g):
                     continue
                 if find_induced_wheel(g) is not None:
                     continue
-                if scan_contains_family(g.n, g.rows, tables):
+                if find_induced_3pc(g) is not None:
                     continue
                 assert find_hamiltonian_cycle(g).found
 

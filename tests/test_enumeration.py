@@ -1,5 +1,4 @@
 import collections
-import dataclasses
 import json
 import math
 import os
@@ -11,7 +10,7 @@ import pytest
 from click.testing import CliRunner
 
 import helpers
-from obstructa import detectors, enumeration, graphs
+from obstructa import detectors, enumeration, families, graphs, hamiltonicity
 from obstructa.canon import (
     _canonical_search,
     automorphism_count,
@@ -19,7 +18,7 @@ from obstructa.canon import (
     graph_from_canonical,
 )
 from obstructa.cli import EXIT_COUNTEREXAMPLE, main
-from obstructa.detectors import classify, find_induced_wheel
+from obstructa.detectors import classify, find_induced_3pc, find_induced_wheel
 from obstructa.enumeration import (
     CensusReport,
     census,
@@ -27,7 +26,9 @@ from obstructa.enumeration import (
     verify_main_theorem,
 )
 from obstructa.errors import InvalidJobCount, TooLarge
+from obstructa.families import all_specs_up_to, build_3pc, parse_spec
 from obstructa.graphs import Graph, encode_graph6, graph_from_edges, is_two_connected
+from obstructa.hamiltonicity import HamResult, ObstructionVerdict
 
 KNOWN_CLASS_COUNTS = {0: 1, 1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044, 8: 12346}
 KNOWN_TWO_CONNECTED = {1: 0, 2: 0, 3: 1, 4: 3, 5: 10, 6: 56, 7: 468, 8: 7123}
@@ -218,64 +219,79 @@ class TestCensus:
             )
 
     def test_survey_reads_facts(self, atlas8, monkeypatch):
-        # the survey tests no class for 2-connectivity or wheels: no
-        # whole-graph is_two_connected or find_induced_wheel call, generation
-        # included, and one classify_with record per wheel-free 2-connected
-        # class (is_hc_obstruction still tests subsets for minimality); the
-        # classes it recognizes are exactly those, in order, none with a wheel
-        expected = [
-            g.rows
+        # the survey tests no class for 2-connectivity or wheels and
+        # recognizes none, generation included: check (a) scans each
+        # wheel-free 2-connected class for an induced 3PC and searches only
+        # the 3PC-free ones for a Hamiltonian cycle; check (b) tests only the
+        # spec graphs for wheels and only the wheel-free ones for obstruction
+        classes = [
+            g
             for n in range(1, 8)
             for g in atlas8[n]
             if is_two_connected(g) and find_induced_wheel(g) is None
         ]
-        recognized = []
-        real_recognize = enumeration.recognize_3pc
-        monkeypatch.setattr(
-            enumeration, "recognize_3pc", lambda g: recognized.append(g.rows) or real_recognize(g)
-        )
-        calls = collections.Counter()
+        free = [g.rows for g in classes if find_induced_3pc(g) is None]
+        spec_graphs = [build_3pc(s) for s in all_specs_up_to(7)]
+        wheel_free_specs = [g.rows for g in spec_graphs if find_induced_wheel(g) is None]
+        calls = collections.defaultdict(list)
 
-        def counting(name, fn):
+        def recording(name, fn):
             def wrapper(*args):
-                calls[name] += isinstance(args[0], Graph)
+                if isinstance(args[0], Graph):
+                    calls[name].append(args[0].rows)
                 return fn(*args)
 
             return wrapper
 
         originals = {
             "is_two_connected": graphs.is_two_connected,
+            "recognize_3pc": families.recognize_3pc,
             "find_induced_wheel": detectors.find_induced_wheel,
-            "classify_with": detectors.classify_with,
+            "find_induced_3pc": detectors.find_induced_3pc,
+            "find_hamiltonian_cycle": hamiltonicity.find_hamiltonian_cycle,
+            "is_hc_obstruction": hamiltonicity.is_hc_obstruction,
         }
         for module in [m for key, m in sys.modules.items() if key.startswith("obstructa")]:
             for name, fn in originals.items():
                 if getattr(module, name, None) is fn:
-                    monkeypatch.setattr(module, name, counting(name, fn))
+                    monkeypatch.setattr(module, name, recording(name, fn))
         monkeypatch.setattr(enumeration, "_atlas", {0: enumeration._atlas[0]})
-        rows = verify_main_theorem(7, jobs=1).rows
-        assert calls["is_two_connected"] == 0
-        assert calls["find_induced_wheel"] == 0
-        assert calls["classify_with"] == sum(r.wheel_free_2conn for r in rows) == 91
-        assert recognized == expected
+        verify_main_theorem(7, jobs=1)
+        assert calls["is_two_connected"] == calls["recognize_3pc"] == []
+        assert calls["find_induced_3pc"] == [g.rows for g in classes]
+        assert len(classes) == 91
+        assert calls["find_hamiltonian_cycle"] == free and len(free) == 38
+        assert calls["find_induced_wheel"] == [g.rows for g in spec_graphs]
+        assert len(spec_graphs) == 12
+        assert calls["is_hc_obstruction"] == wheel_free_specs and len(wheel_free_specs) == 9
 
     def test_counterexamples_reported(self, monkeypatch):
-        # K_{2,3} loses its obstruction verdict (3PC side) and C5 its
-        # Hamiltonian cycle (3PC-free side); each must come back as a
-        # counterexample, and verify must exit 1
-        broken = {
-            canonical_form(helpers.complete_bipartite(2, 3)): {"hc_obstruction": False},
-            canonical_form(helpers.cycle(5)): {"hamiltonian": False},
-        }
-        real = enumeration.classify_with
-
-        def classify_with(g, recognized, wheel_free):
-            rec = real(g, recognized, wheel_free)
-            return dataclasses.replace(rec, **broken.get(canonical_form(g), {}))
-
-        monkeypatch.setattr(enumeration, "classify_with", classify_with)
-        expected = tuple(sorted(encode_graph6(graph_from_canonical(f)) for f in broken))
-        assert verify_main_theorem(6, jobs=1).counterexamples == expected
+        # C5 loses its Hamiltonian cycle in check (a) and K_{2,3}
+        # (theta:2,2,2) its obstruction verdict in check (b); each must come
+        # back as a counterexample, and verify must exit 1
+        c5 = canonical_form(helpers.cycle(5))
+        k23 = canonical_form(helpers.complete_bipartite(2, 3))
+        assert canonical_form(build_3pc(parse_spec("theta:2,2,2"))) == k23
+        real_search = enumeration.find_hamiltonian_cycle
+        real_verdict = enumeration.is_hc_obstruction
+        monkeypatch.setattr(
+            enumeration,
+            "find_hamiltonian_cycle",
+            lambda g: HamResult(False) if canonical_form(g) == c5 else real_search(g),
+        )
+        monkeypatch.setattr(
+            enumeration,
+            "is_hc_obstruction",
+            lambda g: ObstructionVerdict(False, "NonMinimal")
+            if canonical_form(g) == k23
+            else real_verdict(g),
+        )
+        expected = tuple(sorted(encode_graph6(graph_from_canonical(f)) for f in (k23, c5)))
+        rep = verify_main_theorem(6, jobs=1)
+        assert rep.counterexamples == expected
+        row = rep.rows[4]
+        assert row.hamiltonian_among_those == row.three_pc_free_among_those - 1
+        assert row.hc_obstructions_wheel_free == row.wheel_free_3pcs - 1
         res = CliRunner().invoke(main, ["verify", "--max-n", "5", "--jobs", "1"])
         assert res.exit_code == EXIT_COUNTEREXAMPLE
         assert json.loads(res.output)["counterexamples"] == list(expected)
@@ -346,20 +362,15 @@ class TestReportFormats:
     def test_workers_agree_under_spawn(self):
         # only module-level functions and picklable arguments cross the pool,
         # so workers started fresh by spawn, on the two strided halves, give
-        # the results of one process: no stage relies on fork's copied state
+        # the results of one process: generation relies on none of fork's
+        # copied state
         import multiprocessing as mp
 
         forms, facts = enumeration._forms_for(6)
         parents = [(graph_from_canonical(f).rows, x) for f, x in zip(forms, facts)]
-        both = enumeration.TWO_CONNECTED | enumeration.WHEEL_FREE
-        classes = [f for f, x in zip(*enumeration._forms_for(7)) if x & both == both]
         with mp.get_context("spawn").Pool(2) as pool:
             children = pool.map(enumeration._child_forms, [parents[0::2], parents[1::2]])
-            surveys = pool.map(enumeration._survey_chunk, [classes[0::2], classes[1::2]])
         assert {**children[0], **children[1]} == enumeration._child_forms(parents)
-        counts, bad = enumeration._survey_chunk(classes)
-        assert {c: surveys[0][0][c] + surveys[1][0][c] for c in counts} == counts
-        assert sorted(surveys[0][1] + surveys[1][1]) == sorted(bad)
 
     def test_verify_agrees_under_spawn_start_method(self):
         # with spawn as the process-wide start method, verify at n = 7 pools
