@@ -30,6 +30,8 @@ measures the automorphism group:
 
 from __future__ import annotations
 
+import struct
+
 from .graphs import Graph, bits
 
 
@@ -113,14 +115,19 @@ def _twin_classes(
 
 def _canonical_search(
     n: int, rows: tuple[int, ...]
-) -> tuple[tuple[int, ...], int, list[tuple[int, ...]]]:
-    """Return (canonical rows, automorphism count, automorphism generators).
+) -> tuple[tuple[int, ...], int, list[tuple[int, ...]], tuple[int, ...]]:
+    """Return (canonical rows, automorphism count, automorphism generators,
+    canonical order).
 
     Each generator is a permutation tuple ``p`` with ``v -> p[v]``; together
-    they generate the automorphism group.
+    they generate the automorphism group.  The canonical order is the best
+    leaf's vertex order: vertex ``order[i]`` becomes vertex ``i`` of the
+    canonical rows.  Another best leaf gives its image under an
+    automorphism, so any isomorphism-invariant choice read off the order is
+    unique up to automorphism.
     """
     if n == 0:
-        return (), 1, []
+        return (), 1, [], ()
     best: tuple[int, ...] | None = None
     best_order: list[int] = []
     count = 0
@@ -172,7 +179,7 @@ def _canonical_search(
         perm = list(range(n))
         perm[u], perm[v] = v, u
         gens.append(tuple(perm))
-    return best, count, gens
+    return best, count, gens, tuple(best_order)
 
 
 def canonical_rows(n: int, rows: tuple[int, ...]) -> tuple[int, ...]:
@@ -185,6 +192,8 @@ def encode_form(n: int, rows: tuple[int, ...]) -> bytes:
     if n <= 8:
         # one byte per row, or none when n == 0
         return bytes([n]) + bytes(rows)
+    if n <= 16:
+        return bytes([n]) + struct.pack(f"<{n}H", *rows)
     width = (n + 7) // 8
     return bytes([n]) + b"".join(r.to_bytes(width, "little") for r in rows)
 
@@ -195,9 +204,14 @@ def canonical_form(g: Graph) -> bytes:
 
 
 def graph_from_canonical(form: bytes) -> Graph:
-    """Rebuild the canonically labeled representative from its byte form."""
+    """Rebuild the graph whose rows :func:`encode_form` packed: the
+    canonically labeled representative when they are a canonical form."""
     n = form[0]
-    width = (n + 7) // 8 if n else 0
+    if n <= 8:
+        return Graph(n, tuple(form[1:]))
+    if n <= 16:
+        return Graph(n, struct.unpack(f"<{n}H", form[1:]))
+    width = (n + 7) // 8
     rows = tuple(
         int.from_bytes(form[1 + i * width : 1 + (i + 1) * width], "little") for i in range(n)
     )

@@ -1,21 +1,35 @@
 """Isomorph-free exhaustive generation and the desk-scale theorem census.
 
-Generation is canonical augmentation with a seen-set (McKay, "Isomorph-free
-exhaustive generation", 1998): every representative on n-1 vertices is
-extended by one neighborhood bitmask of a new vertex per orbit of the
+Generation is canonical augmentation with canonical deletion (McKay,
+"Isomorph-free exhaustive generation", 1998).  A level holds one graph per
+isomorphism class on n vertices.  Every graph of the level below (a parent)
+is extended by one neighbourhood bitmask of a new vertex per orbit of the
 parent's automorphism group, and only where the new vertex maximizes the
-vertex invariant (degree, sum of neighbour degrees) in the child; a child is
-kept exactly when its canonical form is unseen.  Nothing is lost, for two
-reasons:
+vertex invariant (degree, sum of neighbour degrees) in the child.  Of the
+maximizers of a graph, the canonical one is the first in its canonical
+order (see :func:`obstructa.canon._canonical_search`); its orbit does not
+depend on the labeling.  A child is accepted exactly when its new vertex is
+in that orbit, which holds without a search when the new vertex is the only
+maximizer.  Each class is accepted exactly once:
 
-* masks in one orbit give isomorphic children, so one per orbit suffices;
-* every graph has a vertex maximizing the invariant, and deleting it leaves
-  a graph isomorphic to some parent.
+* at least once: a graph G minus its canonical maximizer m is isomorphic to
+  some parent P, and mapping m's neighbourhood through that isomorphism
+  gives a mask that passes both rules.  The mask the walk takes from its
+  orbit gives a child isomorphic to G by a map that takes the new vertex
+  into m's orbit, so that child is accepted;
+* at most once: two accepted children isomorphic to each other are so by a
+  map between their new vertices, since both lie in the orbit of the
+  canonical maximizer.  So their parents are isomorphic, hence the same
+  parent, and the map is an automorphism of it taking one mask to the
+  other; the walk takes one mask per orbit.
 
-Output order is the sorted canonical forms, so two runs are byte-identical.
+So no seen-set is kept, and parents split across workers give disjoint
+children.  The census reads each level as generation left it, in
+generation order; :func:`enumerate_graphs` reads the sorted canonical view,
+which labels each class at most once and is byte-identical from run to run.
 
 Each new class also gets two facts, decided from its parent P and the new
-vertex's mask M when its form is first seen, and kept with the forms:
+vertex's mask M when it is accepted, and kept with the level:
 
 * 2-connected: P is connected, |M| >= 2, and M meets every component of
   P - c for every cut vertex c of P, since G - v = P, P - u stays connected
@@ -65,9 +79,14 @@ ENUMERATION_MAX_VERTICES = 9
 # the facts byte of a class
 TWO_CONNECTED = 1
 WHEEL_FREE = 2
+# in a level's facts byte: the graph's packed rows are its canonical form
+CANONICAL = 4
 
-# n -> (sorted canonical forms, one facts byte per form)
-_atlas: dict[int, tuple[tuple[bytes, ...], bytes]] = {0: ((bytes([0]),), bytes([WHEEL_FREE]))}
+# n -> one graph per class on n vertices as packed rows, one facts byte per
+# graph, and whether they are the sorted canonical forms (see _level)
+_atlas: dict[int, tuple[tuple[bytes, ...], bytes, bool]] = {
+    0: ((bytes([0]),), bytes([WHEEL_FREE | CANONICAL]), True)
+}
 
 
 def resolve_jobs(jobs: Optional[int] = None) -> int:
@@ -93,12 +112,14 @@ def _map_chunks(fn: Callable, items: list, jobs: int) -> list:
     64 items per worker.  A pool round trip costs about 10 ms on 2 cores,
     more than the whole stage below that size (the 34 parents of n = 6 take
     16 ms to extend in one process) and less than half of it above (the
-    156 parents of n = 7 take 100 ms).  Generation, the one caller, merges
-    the results by dict union, so the split never changes them.
+    156 parents of n = 7 take 100 ms).  Generation concatenates the chunks'
+    children, which are disjoint and together the children of one process,
+    and :func:`_forms_for` sorts the labelings of its chunks, so chunk order
+    changes neither.
 
-    The pool (one per vertex count) starts its workers with the
-    platform's default method.  Only module-level functions and picklable
-    arguments cross it, so ``fork`` and ``spawn`` compute the same results.
+    Each call's pool starts its workers with the platform's default
+    method.  Only module-level functions and picklable arguments cross it,
+    so ``fork`` and ``spawn`` compute the same results.
     """
     if jobs == 1 or len(items) <= 64 * jobs:
         return [fn(items)]
@@ -141,37 +162,39 @@ def _extension_facts(rows: tuple[int, ...], facts: int) -> Callable[[int, list[i
     return facts_of
 
 
-def _child_forms(parents: list[tuple[tuple[int, ...], int]]) -> dict[bytes, int]:
-    """Canonical forms of the one-vertex extensions of the given parents
-    (rows and facts byte, all of one size), one per automorphism orbit of
-    masks, in which the new vertex maximizes (degree, sum of neighbour
-    degrees), each with its facts byte.
+def _child_forms(parents: list[tuple[tuple[int, ...], int]]) -> tuple[list[bytes], bytearray]:
+    """The one-vertex extensions of the given parents (rows and facts byte,
+    all of one size, one per class) that canonical deletion accepts, as
+    packed rows (:func:`obstructa.canon.encode_form`) and one facts byte
+    each, in walk order.
 
     For each degree ``d`` from the parent's maximum degree to ``n_parent``,
     the walk takes every ``d``-subset of the vertices of degree below ``d``:
     those end at degree at most ``d`` and the rest keep theirs, so no vertex
     has a higher degree than the new one.  A mask is skipped when it lies in
-    the orbit of an earlier labeled mask under the parent's automorphism
-    generators, or when a vertex of degree ``d`` in its child has a greater
-    sum of neighbour degrees than the new vertex.  Both skips treat all
-    masks of one orbit alike: an automorphism of the parent, extended to fix
-    the new vertex, is an isomorphism between their children.
+    the orbit of an earlier mask that passed, under the parent's
+    automorphism generators, or when a vertex of degree ``d`` in its child
+    has a greater sum of neighbour degrees than the new vertex.  Both skips
+    treat all masks of one orbit alike: an automorphism of the parent,
+    extended to fix the new vertex, is an isomorphism between their
+    children.
 
     Each parent keeps the neighbour-degree sum of every vertex.  In the
     child the new vertex's sum is its neighbours' parent degrees plus ``d``,
     and a rival's is its parent sum plus its neighbours in the mask, plus
     ``d`` when it is in the mask itself.
 
-    Nothing is lost.  Every graph G has a vertex v maximizing the
-    invariant, G - v is isomorphic to some parent P, and mapping v's
-    neighbourhood through that isomorphism gives a mask whose child is
-    isomorphic to G with v as the new vertex; so that mask passes the
-    degree and neighbour-degree-sum rules, and the first mask of its orbit is
-    labeled and gives a child isomorphic to it.
+    A child in which no rival ties the new vertex's sum is accepted as the
+    walk built it (P's vertices first, then v): v is the only maximizer of
+    the invariant, so it is the canonical one.  A child with a tie is
+    labeled, and accepted when v is in the orbit of the first maximizer in
+    the canonical order under the child's automorphism generators; it keeps
+    its canonical rows, marked by ``CANONICAL`` in its facts byte.  The
+    module docstring shows that every class is accepted exactly once, so
+    parents split across workers give disjoint results.
 
-    A form's facts byte comes from :func:`_extension_facts` when the form
-    is first seen; the facts are properties of the class, so any parent
-    that reaches it gives the same byte.  Both rules are exact:
+    A child's facts byte comes from :func:`_extension_facts`.  Both rules
+    are exact:
 
     * G = P + v is 2-connected exactly when it has n >= 3 vertices, P is
       connected, |M| >= 2, and M meets every component of P - c for every
@@ -186,7 +209,8 @@ def _child_forms(parents: list[tuple[tuple[int, ...], int]]) -> dict[bytes, int]
       some induced cycle of G through v has a vertex off it with >= 3
       neighbours on it.
     """
-    seen: dict[bytes, int] = {}
+    accepted: list[bytes] = []
+    accepted_facts = bytearray()
     n_parent = len(parents[0][0]) if parents else 0
     newbit = n_parent
     n = n_parent + 1
@@ -224,25 +248,77 @@ def _child_forms(parents: list[tuple[tuple[int, ...], int]]) -> dict[bytes, int]
                             orbit.append([p[u] for u in m])
                 child = [r | (mask >> i & 1) << newbit for i, r in enumerate(rows)]
                 child.append(mask)
-                form = encode_form(n, canonical_rows(n, tuple(child)))
-                if form not in seen:
-                    seen[form] = facts_of(mask, child)
-    return seen
+                rivals = [w for w in tied if nsum[w] + (rows[w] & mask).bit_count() == mine]
+                rivals += [
+                    u
+                    for u in neighbours
+                    if deg[u] == d - 1 and nsum[u] + (rows[u] & mask).bit_count() + d == mine
+                ]
+                if not rivals:
+                    accepted.append(encode_form(n, child))
+                    accepted_facts.append(facts_of(mask, child))
+                    continue
+                form, _, child_gens, order = _canonical_search(n, tuple(child))
+                rivals.append(newbit)
+                first = next(v for v in order if v in rivals)
+                if _in_orbit(child_gens, first, newbit):
+                    accepted.append(encode_form(n, form))
+                    accepted_facts.append(facts_of(mask, child) | CANONICAL)
+    return accepted, accepted_facts
+
+
+def _in_orbit(gens: list[tuple[int, ...]], u: int, v: int) -> bool:
+    """Whether the group the permutations ``gens`` generate maps u to v."""
+    orbit = {u}
+    stack = [u]
+    while stack:
+        w = stack.pop()
+        for p in gens:
+            if p[w] not in orbit:
+                orbit.add(p[w])
+                stack.append(p[w])
+    return v in orbit
+
+
+def _level(n: int, jobs: int = 1) -> tuple[tuple[bytes, ...], bytes]:
+    """One graph per class on ``n`` vertices, as packed rows, and one facts
+    byte per graph: the sorted canonical view once :func:`_forms_for` has
+    made it, else the children generation accepted, in generation order."""
+    if n not in _atlas:
+        parents = [(graph_from_canonical(r).rows, x) for r, x in zip(*_level(n - 1, jobs))]
+        chunks = _map_chunks(_child_forms, parents, jobs)
+        rows = tuple(r for chunk, _ in chunks for r in chunk)
+        _atlas[n] = rows, b"".join(facts for _, facts in chunks), False
+    rows, facts, _ = _atlas[n]
+    return rows, facts
+
+
+def _label(graphs: list[tuple[bytes, int]]) -> list[tuple[bytes, int]]:
+    """The canonical form of each packed graph, with its facts byte marked
+    ``CANONICAL``."""
+    out = []
+    for packed, x in graphs:
+        g = graph_from_canonical(packed)
+        out.append((encode_form(g.n, canonical_rows(g.n, g.rows)), x | CANONICAL))
+    return out
 
 
 def _forms_for(n: int, jobs: int = 1) -> tuple[tuple[bytes, ...], bytes]:
     """The sorted canonical forms of the classes on ``n`` vertices, and one
-    facts byte (``TWO_CONNECTED | WHEEL_FREE`` bits) per form."""
-    if n in _atlas:
-        return _atlas[n]
-    forms, facts = _forms_for(n - 1, jobs)
-    parents = [(graph_from_canonical(f).rows, x) for f, x in zip(forms, facts)]
-    seen, *others = _map_chunks(_child_forms, parents, jobs)
-    for other in others:
-        seen.update(other)
-    forms = tuple(sorted(seen))
-    _atlas[n] = forms, bytes(seen[f] for f in forms)
-    return _atlas[n]
+    facts byte (``TWO_CONNECTED | WHEEL_FREE | CANONICAL`` bits) per form.
+    Only the graphs of the level that generation accepted unlabeled are
+    labeled here, so each class is labeled once; the view then replaces
+    the level."""
+    rows, facts = _level(n, jobs)
+    if not _atlas[n][2]:
+        graphs = list(zip(rows, facts))
+        unlabeled = [g for g in graphs if not g[1] & CANONICAL]
+        graphs = [g for g in graphs if g[1] & CANONICAL]
+        for chunk in _map_chunks(_label, unlabeled, jobs):
+            graphs += chunk
+        graphs.sort()
+        _atlas[n] = tuple(f for f, _ in graphs), bytes(x for _, x in graphs), True
+    return _atlas[n][:2]
 
 
 def _check_vertex_count(n: int, stage: str) -> None:
@@ -337,33 +413,37 @@ def _check_specs(n: int) -> tuple[int, int, list[str]]:
         g for g in map(build_3pc, specs_with_vertex_count(n)) if find_induced_wheel(g) is None
     ]
     failed = [g for g in wheel_free if not is_hc_obstruction(g).is_obstruction]
-    bad = [encode_graph6(Graph(g.n, canonical_rows(g.n, g.rows))) for g in failed]
-    return len(wheel_free), len(wheel_free) - len(failed), bad
+    return len(wheel_free), len(wheel_free) - len(failed), list(map(_canonical_graph6, failed))
+
+
+def _canonical_graph6(g: Graph) -> str:
+    return encode_graph6(Graph(g.n, canonical_rows(g.n, g.rows)))
 
 
 def verify_main_theorem(max_n: int, jobs: Optional[int] = None) -> CensusReport:
     """Census plus the graph6 of every counterexample, sorted: each
     wheel-free 2-connected class with no induced 3PC and no Hamiltonian
     cycle (check (a)), and each wheel-free 3PC spec that is no
-    HC-obstruction (check (b)).  The classes come from the facts bytes;
-    none is tested for 2-connectivity or wheels."""
+    HC-obstruction (check (b)).  The classes come from the facts bytes of
+    each level as generation left it; none is tested for 2-connectivity or
+    wheels, and only counterexamples are labeled."""
     _check_vertex_count(max_n, "verification")
     jobs = resolve_jobs(jobs)
     rows = []
     counterexamples: set[str] = set()
     both = TWO_CONNECTED | WHEEL_FREE
     for n in range(1, max_n + 1):
-        forms, facts = _forms_for(n, jobs)
-        classes = [graph_from_canonical(f) for f, x in zip(forms, facts) if x & both == both]
+        level, facts = _level(n, jobs)
+        classes = [graph_from_canonical(r) for r, x in zip(level, facts) if x & both == both]
         free = [g for g in classes if find_induced_3pc(g) is None]
         non_hamiltonian = [g for g in free if not find_hamiltonian_cycle(g).found]
-        counterexamples.update(map(encode_graph6, non_hamiltonian))
+        counterexamples.update(map(_canonical_graph6, non_hamiltonian))
         wheel_free_3pcs, obstructions, bad = _check_specs(n)
         counterexamples.update(bad)
         rows.append(
             CensusRow(
                 n=n,
-                all=len(forms),
+                all=len(level),
                 two_connected=sum(1 for x in facts if x & TWO_CONNECTED),
                 wheel_free_2conn=len(classes),
                 three_pc_free_among_those=len(free),

@@ -516,9 +516,9 @@ def group_order(n: int, gens: list[tuple[int, ...]]) -> int:
 
 
 def labeled_masks_reference(n_parent: int, rows: tuple[int, ...], gens) -> list[int]:
-    """Masks ``_child_forms`` labels for one parent, in order: the rule
-    (degree, sum of neighbour degrees) read off each child's own rows, and
-    orbits as vertex tuples."""
+    """Masks that pass ``_child_forms``'s rules and orbit skip for one
+    parent, in order: the rule (degree, sum of neighbour degrees) read off
+    each child's own rows, and orbits as vertex tuples."""
     n = n_parent + 1
     deg = [r.bit_count() for r in rows]
     done: set[tuple[int, ...]] = set()

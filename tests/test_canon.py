@@ -12,6 +12,7 @@ from obstructa.canon import (
     automorphism_count,
     canonical_form,
     canonical_rows,
+    encode_form,
     graph_from_canonical,
 )
 from obstructa.families import ThreePcSpec, build_3pc
@@ -63,6 +64,35 @@ def test_canonical_rows_is_a_relabeling():
         assert rep.degree_sequence() == g.degree_sequence()
         assert rep.edge_count == g.edge_count
         assert helpers.isomorphic_brute(rep, g)
+
+
+def test_canonical_order_relabels_to_the_canonical_rows(atlas8):
+    # on a random relabeling of every class with n <= 7, moving vertex
+    # order[i] to position i turns the rows into the canonical rows, which
+    # are the class's own
+    rng = random.Random(17)
+    for n in range(min(7, max(atlas8)) + 1):
+        for g in atlas8[n]:
+            perm = list(range(n))
+            rng.shuffle(perm)
+            h = permuted(g, perm)
+            rows, _, _, order = _canonical_search(n, h.rows)
+            assert sorted(order) == list(range(n))
+            position = {v: i for i, v in enumerate(order)}
+            relabeled = tuple(sum(1 << position[u] for u in bits(h.rows[v])) for v in order)
+            assert relabeled == rows == g.rows, g
+
+
+def test_form_layout_round_trips_at_every_width():
+    # n, then the rows at fixed width (n + 7) // 8, little-endian, for the
+    # one-byte, two-byte and wider rows alike
+    rng = random.Random(5)
+    for n in range(41):
+        rows = tuple(rng.getrandbits(n) for _ in range(n))
+        width = (n + 7) // 8
+        form = encode_form(n, rows)
+        assert form == bytes([n]) + b"".join(r.to_bytes(width, "little") for r in rows)
+        assert graph_from_canonical(form).rows == rows
 
 
 def test_are_isomorphic_agrees_with_brute(atlas8):
@@ -135,7 +165,7 @@ def _assert_kernel_matches_reference(g):
             refined = _refine(n, rows, nxt, [1 << rep])
             assert refined == helpers.refine_reference(rows, nxt)
             stack.append(refined)
-    _, count, gens = _canonical_search(n, rows)
+    _, count, gens, _ = _canonical_search(n, rows)
     edges = {frozenset(e) for e in g.edges()}
     for p in gens:
         assert sorted(p) == list(range(n))

@@ -76,43 +76,85 @@ class TestGeneration:
             list(enumerate_graphs(10))
 
     def test_labelings_per_n(self, monkeypatch):
-        # one child per automorphism orbit of masks is labeled, and only where
-        # the new vertex maximizes (degree, sum of neighbour degrees): 14,655
-        # at n <= 8, where the degree rule alone made 32,887 and all 2^(n-1)
-        # extensions of every parent 144,923.  The one search per parent that
-        # yields its automorphism generators calls _canonical_search directly
-        # and is not counted here.
-        calls = [0]
-        canonical_rows = enumeration.canonical_rows
+        # canonical deletion labels a child only when a rival ties its new
+        # vertex on (degree, sum of neighbour degrees): verify at n <= 8 makes
+        # 6,146 searches, 1,253 of them one per parent for its automorphism
+        # generators, where labeling every child made 15,908.  The sorted
+        # view labels once each class accepted without a search, so per n
+        # enumerate_graphs labels as many children as the seen-set did: one
+        # per automorphism orbit of masks where the new vertex maximizes the
+        # invariant, 14,655 at n <= 8, where the degree rule alone made
+        # 32,887 and all 2^(n-1) extensions of every parent 144,923
+        sizes = []
+        search = enumeration._canonical_search
 
         def counting(n, rows):
-            calls[0] += 1
-            return canonical_rows(n, rows)
+            sizes.append(n)
+            return search(n, rows)
 
-        monkeypatch.setattr(enumeration, "canonical_rows", counting)
+        monkeypatch.setattr(enumeration, "_canonical_search", counting)
+        monkeypatch.setattr(enumeration, "canonical_rows", lambda n, rows: counting(n, rows)[0])
+        monkeypatch.setattr(enumeration, "_atlas", {0: enumeration._atlas[0]})
+        assert verify_main_theorem(8, jobs=1).counterexamples == ()
+        # the searches on n vertices: the parents of n + 1 vertices, and the
+        # children on n vertices with a tie
+        per_size = collections.Counter(sizes)
+        assert [per_size[n] for n in range(9)] == [1, 1, 4, 7, 19, 53, 239, 1470, 4352]
+        assert len(sizes) == 6146
+        assert sum(KNOWN_CLASS_COUNTS[n] for n in range(8)) == 1253
         monkeypatch.setattr(enumeration, "_atlas", {0: enumeration._atlas[0]})
         per_n = []
         for n in range(1, 9):
-            before = calls[0]
+            sizes.clear()
             assert sum(1 for _ in enumerate_graphs(n, jobs=1)) == KNOWN_CLASS_COUNTS[n]
-            per_n.append(calls[0] - before)
+            per_n.append(sizes.count(n))
         assert per_n == [1, 2, 4, 11, 34, 159, 1096, 13348]
 
     def test_neighbour_degree_sum_rule_matches_child_reference(self, atlas8, monkeypatch):
-        # the sum rule on per-parent sums and the bitmask orbits label the
+        # the sum rule on per-parent sums and the bitmask orbits pass the
         # same masks in the same order as the sums read off each child's rows
-        # and vertex-tuple orbits, on every parent with n <= 7; the child's
-        # last row is its mask
-        labeled = []
-        monkeypatch.setattr(
-            enumeration, "canonical_rows", lambda n, rows: labeled.append(rows[-1]) or rows
-        )
+        # and vertex-tuple orbits, on every parent with n <= 7.  A stand-in
+        # child search keeps each tied child as built, with its new vertex
+        # first in the canonical order, so every mask that passes is
+        # accepted, with or without a search, as the last row of its child
+        search = enumeration._canonical_search
         for n in range(min(7, max(atlas8)) + 1):
+            monkeypatch.setattr(
+                enumeration,
+                "_canonical_search",
+                lambda k, rows, n=n: search(k, rows) if k == n else (rows, 1, [], (n, *range(n))),
+            )
             for g in atlas8[n]:
-                labeled.clear()
-                enumeration._child_forms([(g.rows, 0)])
+                accepted, _ = enumeration._child_forms([(g.rows, 0)])
+                passed = [graph_from_canonical(r).rows[-1] for r in accepted]
                 gens = _canonical_search(n, g.rows)[2]
-                assert labeled == helpers.labeled_masks_reference(n, g.rows, gens), g
+                assert passed == helpers.labeled_masks_reference(n, g.rows, gens), g
+
+    def test_canonical_deletion_accepts_each_class_once(self, monkeypatch):
+        # with no seen-set, the children accepted at each n <= 8 are pairwise
+        # non-isomorphic and one per class (A000088); a child accepted after
+        # a search keeps its canonical rows, and one accepted without a
+        # search has its new vertex as the only maximizer of (degree, sum of
+        # neighbour degrees); the two halves of a strided jobs=2 split of
+        # the n = 7 parents accept disjoint sets of classes
+        monkeypatch.setattr(enumeration, "_atlas", {0: enumeration._atlas[0]})
+        for n in range(1, 9):
+            level, facts = enumeration._level(n)
+            forms = [canonical_form(graph_from_canonical(r)) for r in level]
+            assert len(set(forms)) == len(level) == KNOWN_CLASS_COUNTS[n], n
+            for packed, form, x in zip(level, forms, facts):
+                if x & enumeration.CANONICAL:
+                    assert packed == form
+                    continue
+                rows = graph_from_canonical(packed).rows
+                deg = [r.bit_count() for r in rows]
+                key = [(deg[v], sum(deg[u] for u in graphs.bits(rows[v]))) for v in range(n)]
+                assert key.count(max(key)) == 1 and key[-1] == max(key), rows
+        parents = [(graph_from_canonical(r).rows, x) for r, x in zip(*enumeration._level(7))]
+        halves = [enumeration._child_forms(parents[i::2])[0] for i in range(2)]
+        forms = [{canonical_form(graph_from_canonical(r)) for r in half} for half in halves]
+        assert not forms[0] & forms[1]
+        assert len(forms[0]) + len(forms[1]) == KNOWN_CLASS_COUNTS[8]
 
     def test_facts_match_direct_tests(self, atlas8):
         # the facts generation decides from each parent equal the direct
@@ -257,10 +299,16 @@ class TestCensus:
                     monkeypatch.setattr(module, name, recording(name, fn))
         monkeypatch.setattr(enumeration, "_atlas", {0: enumeration._atlas[0]})
         verify_main_theorem(7, jobs=1)
+
+        def classes_of(rows_list):
+            # verify reads the graphs generation accepted, as it labeled them
+            return sorted(canonical_form(Graph(len(rows), rows)) for rows in rows_list)
+
         assert calls["is_two_connected"] == calls["recognize_3pc"] == []
-        assert calls["find_induced_3pc"] == [g.rows for g in classes]
+        assert classes_of(calls["find_induced_3pc"]) == classes_of(g.rows for g in classes)
         assert len(classes) == 91
-        assert calls["find_hamiltonian_cycle"] == free and len(free) == 38
+        assert classes_of(calls["find_hamiltonian_cycle"]) == classes_of(free)
+        assert len(free) == 38
         assert calls["find_induced_wheel"] == [g.rows for g in spec_graphs]
         assert len(spec_graphs) == 12
         assert calls["is_hc_obstruction"] == wheel_free_specs and len(wheel_free_specs) == 9
@@ -347,30 +395,41 @@ class TestReportFormats:
         assert serial == parallel
 
     def test_parallel_generation_agrees_with_serial(self, monkeypatch):
-        # the module atlas caches generated forms, so drop n > 5 to make the
-        # jobs=2 run generate n = 6 in this process and n = 7 in the worker pool
-        # and its facts; both must equal the serial forms and facts
+        # the module atlas caches generated levels, so drop n > 5 to make
+        # both runs generate n = 6 in this process from the same parents, and
+        # the jobs=2 run n = 7 in the worker pool: its chunks hold the serial
+        # level's graphs and facts in another order, the pool labels the
+        # sorted view the serial one labels in process, and the reports agree
+        def drop_above_5():
+            kept = {n: f for n, f in enumeration._atlas.items() if n <= 5}
+            monkeypatch.setattr(enumeration, "_atlas", kept)
+
+        drop_above_5()
         serial = verify_main_theorem(7, jobs=1).to_json()
-        level7 = enumeration._atlas[7]
-        monkeypatch.setattr(
-            enumeration, "_atlas", {n: f for n, f in enumeration._atlas.items() if n <= 5}
-        )
+        level7 = enumeration._level(7)
+        view7 = enumeration._forms_for(7)
+        drop_above_5()
         parallel = verify_main_theorem(7, jobs=2).to_json()
-        assert enumeration._atlas[7] == level7
+        assert sorted(zip(*enumeration._level(7))) == sorted(zip(*level7))
+        assert enumeration._forms_for(7, jobs=2) == view7
         assert parallel.encode() == serial.encode()
 
     def test_workers_agree_under_spawn(self):
         # only module-level functions and picklable arguments cross the pool,
         # so workers started fresh by spawn, on the two strided halves, give
-        # the results of one process: generation relies on none of fork's
-        # copied state
+        # the results of one process, in another order: generation and the
+        # labeling of the sorted view rely on none of fork's copied state
         import multiprocessing as mp
 
         forms, facts = enumeration._forms_for(6)
         parents = [(graph_from_canonical(f).rows, x) for f, x in zip(forms, facts)]
+        children = list(zip(*enumeration._child_forms(parents)))
+        unlabeled = [(r, x) for r, x in children if not x & enumeration.CANONICAL]
         with mp.get_context("spawn").Pool(2) as pool:
-            children = pool.map(enumeration._child_forms, [parents[0::2], parents[1::2]])
-        assert {**children[0], **children[1]} == enumeration._child_forms(parents)
+            halves = pool.map(enumeration._child_forms, [parents[0::2], parents[1::2]])
+            labeled = pool.map(enumeration._label, [unlabeled[0::2], unlabeled[1::2]])
+        assert sorted(p for rows, x in halves for p in zip(rows, x)) == sorted(children)
+        assert sorted(labeled[0] + labeled[1]) == sorted(enumeration._label(unlabeled))
 
     def test_verify_agrees_under_spawn_start_method(self):
         # with spawn as the process-wide start method, verify at n = 7 pools
