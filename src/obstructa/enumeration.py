@@ -223,7 +223,7 @@ def _child_forms(parents: list[tuple[tuple[int, ...], int]]) -> tuple[list[bytes
         done: set[int] = set()
         for d in range(max(deg, default=0), n):
             below = [u for u in range(n_parent) if deg[u] < d]
-            tied = [w for w in range(n_parent) if deg[w] == d]
+            tied = [(w, nsum[w]) for w in range(n_parent) if deg[w] == d]
             for neighbours in combinations(below, d):
                 mask = sum(map(bit.__getitem__, neighbours))
                 if mask in done:
@@ -231,12 +231,17 @@ def _child_forms(parents: list[tuple[tuple[int, ...], int]]) -> tuple[list[bytes
                 mine = sum(map(deg.__getitem__, neighbours)) + d
                 # the other vertices of degree d in the child: those of the
                 # parent's degree d, and the mask's vertices of degree d - 1,
-                # which also neighbour the new vertex
-                if any(nsum[w] + (rows[w] & mask).bit_count() > mine for w in tied) or any(
-                    nsum[u] + (rows[u] & mask).bit_count() + d > mine
-                    for u in neighbours
-                    if deg[u] == d - 1
-                ):
+                # which also neighbour the new vertex; each is paired with
+                # its child sum less its neighbours in the mask
+                rivals: list[int] | None = []
+                for w, base in tied + [(u, nsum[u] + d) for u in neighbours if deg[u] == d - 1]:
+                    s = base + (rows[w] & mask).bit_count()
+                    if s > mine:
+                        rivals = None
+                        break
+                    if s == mine:
+                        rivals.append(w)
+                if rivals is None:
                     continue
                 orbit = [neighbours]
                 done.add(mask)
@@ -248,12 +253,6 @@ def _child_forms(parents: list[tuple[tuple[int, ...], int]]) -> tuple[list[bytes
                             orbit.append([p[u] for u in m])
                 child = [r | (mask >> i & 1) << newbit for i, r in enumerate(rows)]
                 child.append(mask)
-                rivals = [w for w in tied if nsum[w] + (rows[w] & mask).bit_count() == mine]
-                rivals += [
-                    u
-                    for u in neighbours
-                    if deg[u] == d - 1 and nsum[u] + (rows[u] & mask).bit_count() + d == mine
-                ]
                 if not rivals:
                     accepted.append(encode_form(n, child))
                     accepted_facts.append(facts_of(mask, child))
