@@ -36,24 +36,33 @@ def induced_cycles(
     ``cand``, as (vertex list from the anchor, vertex mask), each once with
     orientation cycle[1] < cycle[-1].  One DFS, neighbours ascending: the path
     grows only by vertices not adjacent to any earlier path vertex but the
-    last, and a vertex adjacent to the anchor can only close the cycle."""
-    return _extend_cycle(rows, [anchor], 1 << anchor, cand)
-
-
-def _extend_cycle(
-    rows: Sequence[int], path: list[int], on: int, cand: int
-) -> Iterator[tuple[list[int], int]]:
-    last = path[-1]
-    anchor_bit = 1 << path[0]
-    first = len(path) == 1
-    for w in bits(rows[last] & cand):
-        wbit = 1 << w
-        if not first and rows[w] & anchor_bit:
+    last, and a vertex adjacent to the anchor can only close the cycle.  The
+    walk keeps one stack entry per path vertex: the neighbours it has yet to
+    try and the candidates for the vertex after it."""
+    anchor_bit = 1 << anchor
+    path = [anchor]
+    on = anchor_bit
+    stack = [(rows[anchor] & cand, cand)]
+    while stack:
+        todo, cand = stack[-1]
+        if not todo:
+            stack.pop()
+            on ^= 1 << path.pop()
+            continue
+        wbit = todo & -todo
+        stack[-1] = (todo ^ wbit, cand)
+        w = wbit.bit_length() - 1
+        if len(path) == 1:
+            nxt = cand & ~wbit
+        elif rows[w] & anchor_bit:
             if path[1] < w:
                 yield path + [w], on | wbit
             continue
-        nxt = cand & ~wbit if first else cand & ~rows[last] & ~wbit
-        yield from _extend_cycle(rows, path + [w], on | wbit, nxt)
+        else:
+            nxt = cand & ~rows[path[-1]] & ~wbit
+        path.append(w)
+        on |= wbit
+        stack.append((rows[w] & nxt, nxt))
 
 
 def find_wheel_through(

@@ -9,8 +9,19 @@ vertex invariant (degree, sum of neighbour degrees) in the child.  Of the
 maximizers of a graph, the canonical one is the first in its canonical
 order (see :func:`obstructa.canon._canonical_search`); its orbit does not
 depend on the labeling.  A child is accepted exactly when its new vertex is
-in that orbit, which holds without a search when the new vertex is the only
-maximizer.  Each class is accepted exactly once:
+in that orbit.  Most children decide it without a search:
+
+* the new vertex is the only maximizer;
+* every other maximizer is a twin of it (their rows agree outside the
+  pair), so swapping the two is an automorphism;
+* the root equitable partition decides: the canonical maximizer is in the
+  first root cell that holds a maximizer, because every leaf of the search
+  lists the root cells in order (individualization and refinement split
+  cells in place) and the invariant is constant on an equitable cell.
+  Orbits lie inside cells, so the new vertex is rejected outside that cell,
+  and accepted when the rest of the cell are its twins.
+
+Each class is accepted exactly once:
 
 * at least once: a graph G minus its canonical maximizer m is isomorphic to
   some parent P, and mapping m's neighbourhood through that isomorphism
@@ -65,9 +76,9 @@ from __future__ import annotations
 import os
 from dataclasses import asdict, dataclass, fields, replace
 from itertools import combinations
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from .canon import _canonical_search, canonical_rows, encode_form, graph_from_canonical
+from .canon import _canonical_search, _refine, canonical_rows, encode_form, graph_from_canonical
 from .errors import InvalidJobCount, TooLarge
 from .families import build_3pc, specs_with_vertex_count
 from .graphs import Graph, _cut_vertices, bits, component_masks, encode_graph6, flood
@@ -186,12 +197,28 @@ def _child_forms(parents: list[tuple[tuple[int, ...], int]]) -> tuple[list[bytes
 
     A child in which no rival ties the new vertex's sum is accepted as the
     walk built it (P's vertices first, then v): v is the only maximizer of
-    the invariant, so it is the canonical one.  A child with a tie is
-    labeled, and accepted when v is in the orbit of the first maximizer in
-    the canonical order under the child's automorphism generators; it keeps
-    its canonical rows, marked by ``CANONICAL`` in its facts byte.  The
-    module docstring shows that every class is accepted exactly once, so
-    parents split across workers give disjoint results.
+    the invariant, so it is the canonical one.  A child with a tie goes to
+    :func:`_decide_tie`, which accepts it as built when every rival is a
+    twin of v, or when the root equitable partition puts v in the first
+    cell holding a maximizer and the rest of that cell are twins of v; it
+    rejects it when v is outside that cell.  Both are exact:
+
+    * the canonical maximizer is in that cell.  Every leaf of the canonical
+      search lists the root cells in their order, since individualizing a
+      vertex and refining split a cell in place.  A cell of an equitable
+      partition has one degree and one count against each cell, hence one
+      neighbour-degree sum, so it holds maximizers only, and the first
+      maximizer of the canonical order is in the first cell that has one;
+    * the root partition is isomorphism-invariant, so each automorphism
+      orbit lies inside one cell, and a twin w of v gives the automorphism
+      (v w), which puts w in v's orbit.
+
+    Only the other ties are labeled, and accepted when v is in the orbit of
+    the first maximizer in the canonical order under the child's
+    automorphism generators; such a child keeps its canonical rows, marked
+    by ``CANONICAL`` in its facts byte.  The module docstring shows that
+    every class is accepted exactly once, so parents split across workers
+    give disjoint results.
 
     A child's facts byte comes from :func:`_extension_facts`.  Both rules
     are exact:
@@ -253,17 +280,52 @@ def _child_forms(parents: list[tuple[tuple[int, ...], int]]) -> tuple[list[bytes
                             orbit.append([p[u] for u in m])
                 child = [r | (mask >> i & 1) << newbit for i, r in enumerate(rows)]
                 child.append(mask)
-                if not rivals:
-                    accepted.append(encode_form(n, child))
-                    accepted_facts.append(facts_of(mask, child))
-                    continue
-                form, _, child_gens, order = _canonical_search(n, tuple(child))
-                rivals.append(newbit)
-                first = next(v for v in order if v in rivals)
-                if _in_orbit(child_gens, first, newbit):
+                kept = _decide_tie(n, child, rivals) if rivals else (child, 0)
+                if kept is not None:
+                    form, labeled = kept
                     accepted.append(encode_form(n, form))
-                    accepted_facts.append(facts_of(mask, child) | CANONICAL)
+                    accepted_facts.append(facts_of(mask, child) | labeled)
     return accepted, accepted_facts
+
+
+def _decide_tie(
+    n: int, child: list[int], rivals: list[int]
+) -> Optional[tuple[Sequence[int], int]]:
+    """Canonical deletion for a child whose new vertex v = n - 1 ties the
+    ``rivals`` on (degree, sum of neighbour degrees): None when v is not in
+    the orbit of the canonical maximizer, else the rows to keep and the
+    facts bit they carry, ``(child, 0)`` as built or ``(form, CANONICAL)``
+    when the child was labeled.  Steps, in order (see :func:`_child_forms`
+    for why each is exact):
+
+    * twins: when every rival w is a twin of v (their rows agree outside
+      {v, w}), every maximizer is in v's orbit: accept, with no refinement;
+    * root cell: refine the unit partition once and take C, the first root
+      cell holding a maximizer.  Reject when v is not in C, and accept when
+      every other vertex of C is a twin of v;
+    * search: label the child, and accept it when v is in the orbit of the
+      first maximizer of the canonical order.
+    """
+    v = n - 1
+    vbit = 1 << v
+    mask = child[v]
+
+    def twins(ws: Iterable[int]) -> bool:
+        return all(child[w] & ~vbit == mask & ~(1 << w) for w in ws)
+
+    if twins(rivals):
+        return child, 0
+    rows = tuple(child)
+    maximizers = sum(1 << w for w in rivals) | vbit
+    full = (1 << n) - 1
+    cell = next(c for c in _refine(n, rows, [full], [full]) if c & maximizers)
+    if not cell & vbit:
+        return None
+    if twins(bits(cell & ~vbit)):
+        return child, 0
+    form, _, gens, order = _canonical_search(n, rows)
+    first = next(u for u in order if maximizers >> u & 1)
+    return (form, CANONICAL) if _in_orbit(gens, first, v) else None
 
 
 def _in_orbit(gens: list[tuple[int, ...]], u: int, v: int) -> bool:

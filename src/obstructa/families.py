@@ -280,8 +280,11 @@ def spec_of_rows(rows: Sequence[int], sub: int) -> Optional[ThreePcSpec]:
     if count not in (2, 4, 6):
         return None
     # legs[v]: (other end, length) of each long leg at v; a leg is walked
-    # once, from its lower end, which covers its internal vertices
+    # once, from its lower end, which covers its internal vertices.  A branch
+    # vertex has at most three long legs (theta ends, pyramid apex), and
+    # exactly one in a prism
     legs: dict[int, list[tuple[int, int]]] = {v: [] for v in bits(branch)}
+    most = 1 if count == 6 else 3
     covered = branch
     for u in bits(branch):
         for w in bits(rows[u] & sub & ~covered):
@@ -294,6 +297,8 @@ def spec_of_rows(rows: Sequence[int], sub: int) -> Optional[ThreePcSpec]:
                 return None
             legs[u].append((cur, length))
             legs[cur].append((u, length))
+            if len(legs[u]) > most or len(legs[cur]) > most:
+                return None
     if covered != sub:
         return None
     if count == 2:

@@ -166,6 +166,29 @@ def is_induced_cycle(g: Graph, seq: tuple[int, ...]) -> bool:
     )
 
 
+def induced_cycles_oracle(
+    rows: tuple[int, ...], anchor: int, cand: int
+) -> Iterator[tuple[list[int], int]]:
+    """The recursive walk ``detectors.induced_cycles`` replaced: the same
+    cycles through ``anchor`` in the same order, one generator per path
+    vertex."""
+
+    def extend(path: list[int], on: int, cand: int) -> Iterator[tuple[list[int], int]]:
+        last = path[-1]
+        anchor_bit = 1 << path[0]
+        first = len(path) == 1
+        for w in bits(rows[last] & cand):
+            wbit = 1 << w
+            if not first and rows[w] & anchor_bit:
+                if path[1] < w:
+                    yield path + [w], on | wbit
+                continue
+            nxt = cand & ~wbit if first else cand & ~rows[last] & ~wbit
+            yield from extend(path + [w], on | wbit, nxt)
+
+    return extend([anchor], 1 << anchor, cand)
+
+
 def _connected_brute(g: Graph, vertices: list[int]) -> bool:
     if not vertices:
         return True

@@ -75,6 +75,19 @@ class TestWheelDetector:
             assert sum(1 for v in rim if g.has_edge(hub, v)) >= 3
             assert helpers.is_induced_cycle(g, rim)
 
+    def test_induced_cycles_match_recursive_walk(self, atlas8):
+        # the explicit-stack walk yields the cycles of the recursive one in
+        # the same order, on every class with n <= 7, anchored at each
+        # vertex with the candidates above it (as the wheel search takes
+        # them) and with every other vertex
+        for n in range(1, 8):
+            for g in atlas8[n]:
+                for anchor in range(n):
+                    above = g.vertex_mask & ~((2 << anchor) - 1)
+                    for cand in (above, g.vertex_mask & ~(1 << anchor)):
+                        got = list(detectors.induced_cycles(g.rows, anchor, cand))
+                        assert got == list(helpers.induced_cycles_oracle(g.rows, anchor, cand)), g
+
     def test_completeness_vs_subset_oracle_small(self, atlas8):
         for n in range(4, 8):
             for g in atlas8[n]:

@@ -34,6 +34,20 @@ KNOWN_CLASS_COUNTS = {0: 1, 1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044, 8: 
 KNOWN_TWO_CONNECTED = {1: 0, 2: 0, 3: 1, 4: 3, 5: 10, 6: 56, 7: 468, 8: 7123}
 
 
+def canonical_maximizer_orbit(n: int, rows: tuple[int, ...]) -> set[int]:
+    """The automorphism orbit of the first vertex of the canonical order
+    that maximizes (degree, sum of neighbour degrees)."""
+    _, _, gens, order = _canonical_search(n, rows)
+    deg = [r.bit_count() for r in rows]
+    key = [(deg[v], sum(deg[u] for u in graphs.bits(rows[v]))) for v in range(n)]
+    orbit = {next(v for v in order if key[v] == max(key))}
+    while True:
+        grown = orbit | {p[v] for p in gens for v in orbit}
+        if grown == orbit:
+            return orbit
+        orbit = grown
+
+
 class TestGeneration:
     def test_counts_match_brute_labeled_enumeration(self):
         for n in range(0, 7):
@@ -77,14 +91,17 @@ class TestGeneration:
 
     def test_labelings_per_n(self, monkeypatch):
         # canonical deletion labels a child only when a rival ties its new
-        # vertex on (degree, sum of neighbour degrees): verify at n <= 8 makes
-        # 6,146 searches, 1,253 of them one per parent for its automorphism
-        # generators, where labeling every child made 15,908.  The sorted
-        # view labels once each class accepted without a search, so per n
-        # enumerate_graphs labels as many children as the seen-set did: one
-        # per automorphism orbit of masks where the new vertex maximizes the
-        # invariant, 14,655 at n <= 8, where the degree rule alone made
-        # 32,887 and all 2^(n-1) extensions of every parent 144,923
+        # vertex on (degree, sum of neighbour degrees) and neither twins nor
+        # the root equitable partition decide the tie: verify at n <= 8
+        # makes 2,616 searches, 1,253 of them one per parent for its
+        # automorphism generators, where labeling every tied child made
+        # 6,146 and labeling every child 15,908.  The sorted view labels
+        # once each class accepted without a search, so per n
+        # enumerate_graphs labels each class once plus each tied child the
+        # search rejects: 13,625 at n <= 8, no more than the 14,655 of
+        # labeling every tie, which labeled as many children as the
+        # seen-set did, one per automorphism orbit of masks where the new
+        # vertex maximizes the invariant
         sizes = []
         search = enumeration._canonical_search
 
@@ -97,10 +114,10 @@ class TestGeneration:
         monkeypatch.setattr(enumeration, "_atlas", {0: enumeration._atlas[0]})
         assert verify_main_theorem(8, jobs=1).counterexamples == ()
         # the searches on n vertices: the parents of n + 1 vertices, and the
-        # children on n vertices with a tie
+        # tied children on n vertices that go to the search
         per_size = collections.Counter(sizes)
-        assert [per_size[n] for n in range(9)] == [1, 1, 4, 7, 19, 53, 239, 1470, 4352]
-        assert len(sizes) == 6146
+        assert [per_size[n] for n in range(9)] == [1, 1, 2, 4, 14, 40, 193, 1195, 1166]
+        assert len(sizes) == 2616
         assert sum(KNOWN_CLASS_COUNTS[n] for n in range(8)) == 1253
         monkeypatch.setattr(enumeration, "_atlas", {0: enumeration._atlas[0]})
         per_n = []
@@ -108,22 +125,18 @@ class TestGeneration:
             sizes.clear()
             assert sum(1 for _ in enumerate_graphs(n, jobs=1)) == KNOWN_CLASS_COUNTS[n]
             per_n.append(sizes.count(n))
-        assert per_n == [1, 2, 4, 11, 34, 159, 1096, 13348]
+        assert per_n == [1, 2, 4, 11, 34, 156, 1046, 12371]
+        assert all(a <= b for a, b in zip(per_n, [1, 2, 4, 11, 34, 159, 1096, 13348]))
 
     def test_neighbour_degree_sum_rule_matches_child_reference(self, atlas8, monkeypatch):
         # the sum rule on per-parent sums and the bitmask orbits pass the
         # same masks in the same order as the sums read off each child's rows
         # and vertex-tuple orbits, on every parent with n <= 7.  A stand-in
-        # child search keeps each tied child as built, with its new vertex
-        # first in the canonical order, so every mask that passes is
-        # accepted, with or without a search, as the last row of its child
-        search = enumeration._canonical_search
+        # tie decision keeps each tied child as built, so every mask that
+        # passes is accepted, with or without a tie, as the last row of its
+        # child
+        monkeypatch.setattr(enumeration, "_decide_tie", lambda n, child, rivals: (child, 0))
         for n in range(min(7, max(atlas8)) + 1):
-            monkeypatch.setattr(
-                enumeration,
-                "_canonical_search",
-                lambda k, rows, n=n: search(k, rows) if k == n else (rows, 1, [], (n, *range(n))),
-            )
             for g in atlas8[n]:
                 accepted, _ = enumeration._child_forms([(g.rows, 0)])
                 passed = [graph_from_canonical(r).rows[-1] for r in accepted]
@@ -133,10 +146,11 @@ class TestGeneration:
     def test_canonical_deletion_accepts_each_class_once(self, monkeypatch):
         # with no seen-set, the children accepted at each n <= 8 are pairwise
         # non-isomorphic and one per class (A000088); a child accepted after
-        # a search keeps its canonical rows, and one accepted without a
-        # search has its new vertex as the only maximizer of (degree, sum of
-        # neighbour degrees); the two halves of a strided jobs=2 split of
-        # the n = 7 parents accept disjoint sets of classes
+        # a search keeps its canonical rows, and in one accepted without a
+        # search the new vertex is in the orbit of the first maximizer of
+        # (degree, sum of neighbour degrees) in the child's canonical order;
+        # the two halves of a strided jobs=2 split of the n = 7 parents
+        # accept disjoint sets of classes
         monkeypatch.setattr(enumeration, "_atlas", {0: enumeration._atlas[0]})
         for n in range(1, 9):
             level, facts = enumeration._level(n)
@@ -147,14 +161,65 @@ class TestGeneration:
                     assert packed == form
                     continue
                 rows = graph_from_canonical(packed).rows
-                deg = [r.bit_count() for r in rows]
-                key = [(deg[v], sum(deg[u] for u in graphs.bits(rows[v]))) for v in range(n)]
-                assert key.count(max(key)) == 1 and key[-1] == max(key), rows
+                assert n - 1 in canonical_maximizer_orbit(n, rows), rows
         parents = [(graph_from_canonical(r).rows, x) for r, x in zip(*enumeration._level(7))]
         halves = [enumeration._child_forms(parents[i::2])[0] for i in range(2)]
         forms = [{canonical_form(graph_from_canonical(r)) for r in half} for half in halves]
         assert not forms[0] & forms[1]
         assert len(forms[0]) + len(forms[1]) == KNOWN_CLASS_COUNTS[8]
+
+    def test_tie_decision_matches_the_search(self, monkeypatch):
+        # on every tied child at n <= 8, the twin and root-cell steps give
+        # the verdict of the full search: accept exactly when the new vertex
+        # is in the orbit of the first maximizer of the canonical order.
+        # Per n, the ties end in a twin accept, a root-cell accept or
+        # reject, or a search
+        calls = collections.Counter()
+        ties = []
+        real = {name: getattr(enumeration, name) for name in ("_refine", "_canonical_search")}
+        decide = enumeration._decide_tie
+
+        def counted(name):
+            def wrapper(*args):
+                calls[name] += 1
+                return real[name](*args)
+
+            return wrapper
+
+        def recording(n, child, rivals):
+            calls.clear()
+            kept = decide(n, child, rivals)
+            if calls["_canonical_search"]:
+                branch = "search"
+            elif not calls["_refine"]:
+                branch = "twin"
+            else:
+                branch = "cell accept" if kept else "cell reject"
+            ties.append((n, tuple(child), kept is not None, branch))
+            return kept
+
+        for name in real:
+            monkeypatch.setattr(enumeration, name, counted(name))
+        monkeypatch.setattr(enumeration, "_decide_tie", recording)
+        monkeypatch.setattr(enumeration, "_atlas", {0: enumeration._atlas[0]})
+        enumeration._level(8)
+        for n, rows, accepted, _ in ties:
+            assert accepted == (n - 1 in canonical_maximizer_orbit(n, rows)), rows
+        branches = collections.Counter((n, branch) for n, _, _, branch in ties)
+        got = {
+            n: [branches[n, b] for b in ("twin", "cell accept", "cell reject", "search")]
+            for n in range(2, 9)
+        }
+        assert got == {
+            2: [2, 0, 0, 0],
+            3: [3, 0, 0, 0],
+            4: [5, 0, 0, 3],
+            5: [13, 0, 0, 6],
+            6: [40, 3, 3, 37],
+            7: [190, 35, 50, 151],
+            8: [1386, 823, 977, 1166],
+        }
+        assert sum(got[8]) == 4352
 
     def test_facts_match_direct_tests(self, atlas8):
         # the facts generation decides from each parent equal the direct
