@@ -1,16 +1,21 @@
 """Exact Hamiltonian cycle/path search and the obstruction decision procedure.
 
-There is one search, a complete backtracking over vertex sequences that
-finds a Hamiltonian cycle of the subgraph induced on a vertex mask, with four
-safe prunings: a global minimum-degree test, a connectivity test on the
-unvisited region, an available-neighbor count for every unvisited vertex,
-and a closing rule.  Once the path has left its anchor s, an unvisited vertex
-whose only two available neighbors include s must be s's closing neighbor,
-and s has only one left, so two such vertices cut the branch.  A path search
-is the cycle search on the graph plus an apex joined to every vertex.
-Branching is deterministic (anchored start, neighbors ascending), so
-returned witnesses are stable across runs.
-"""
+Every question first meets the forced-edge rule of Hamiltonian-cycle
+backtracking (Vandegriend & Culberson, JAIR 1998): a Hamiltonian cycle uses
+both edges at every degree-2 vertex.  Those forced edges decide exactly when
+some vertex has three or more of them (no cycle) or every vertex has two: one
+spanning cycle is then the only Hamiltonian cycle, and several cycles rule
+one out.  Sparse graphs such as 3PCs and their subgraphs are mostly decided
+this way.  The rest go to one search, a complete backtracking over vertex
+sequences on the subgraph induced on a vertex mask, with four safe prunings:
+a global minimum-degree test, a connectivity test on the unvisited region,
+an available-neighbor count for every unvisited vertex, and a closing rule.
+Once the path has left its anchor s, an unvisited vertex whose only two
+available neighbors include s must be s's closing neighbor, and s has only
+one left, so two such vertices cut the branch.  A path search is the cycle
+search on the graph plus an apex joined to every vertex.  Branching is
+deterministic (anchored start, neighbors ascending), so returned witnesses
+are stable across runs."""
 
 from __future__ import annotations
 
@@ -37,13 +42,62 @@ class HamResult:
     order: Optional[tuple[int, ...]] = None
 
 
+def _forced_cycle(rows: tuple[int, ...], within: int) -> Optional[tuple[int, ...]]:
+    """Decide Hamiltonicity of the subgraph induced on the mask ``within``
+    from its forced edges alone, or return None when they do not decide it.
+
+    A Hamiltonian cycle uses both edges at every degree-2 vertex, so it
+    contains every such *forced* edge.  A vertex with three or more forced
+    edges therefore rules out every cycle, and so do forced edges that give
+    every vertex exactly two but split into several cycles.  When they form
+    one spanning cycle, any Hamiltonian cycle contains it and so equals it:
+    that cycle is the only one, returned anchored at the least vertex s with
+    the smaller closing neighbor second.  ``()`` means not Hamiltonian (also
+    on fewer than three vertices); None means some vertex has fewer than two
+    forced edges and none has more."""
+    if within.bit_count() < 3:
+        return ()
+    forced = [0] * len(rows)
+    for v in bits(within):
+        r = rows[v] & within
+        if r.bit_count() == 2:
+            forced[v] |= r
+            low = r & -r
+            forced[low.bit_length() - 1] |= 1 << v
+            forced[(r ^ low).bit_length() - 1] |= 1 << v
+    counts = list(map(int.bit_count, forced))
+    if max(counts) > 2:
+        return ()
+    if sum(counts) != 2 * within.bit_count():
+        return None
+    s = (within & -within).bit_length() - 1
+    cycle = [s]
+    prev, v = s, (forced[s] & -forced[s]).bit_length() - 1
+    while v != s:
+        cycle.append(v)
+        prev, v = v, (forced[v] ^ 1 << prev).bit_length() - 1
+    return tuple(cycle) if len(cycle) == within.bit_count() else ()
+
+
 def _cycle_search(rows: tuple[int, ...], within: int) -> Optional[tuple[int, ...]]:
     """A Hamiltonian cycle of the subgraph induced on the mask ``within``,
     anchored at its least vertex s with the smaller closing neighbor second,
-    or None.  Only s's degree is tested up front: the first prune tests
-    every other vertex's."""
+    or None.  The forced edges (:func:`_forced_cycle`) decide first; when
+    they leave the question open, :func:`_backtrack` searches.  A forced
+    cycle is the graph's only Hamiltonian cycle, so it is the tuple the
+    search would return."""
+    cycle = _forced_cycle(rows, within)
+    if cycle is None:
+        return _backtrack(rows, within)
+    return cycle or None
+
+
+def _backtrack(rows: tuple[int, ...], within: int) -> Optional[tuple[int, ...]]:
+    """The backtracking search behind :func:`_cycle_search`, on at least
+    three vertices.  Only s's degree is tested up front: the first prune
+    tests every other vertex's."""
     s = (within & -within).bit_length() - 1
-    if within.bit_count() < 3 or (rows[s] & within).bit_count() < 2:
+    if (rows[s] & within).bit_count() < 2:
         return None
     sbit = 1 << s
     path = [s]
@@ -136,8 +190,10 @@ def is_hc_obstruction(g: Graph) -> ObstructionVerdict:
     2-connected and non-Hamiltonian.  Only the subsets of the pruned
     :func:`obstructa.graphs.min_degree2_subsets` walk (size descending, then
     lexicographic) can break minimality; dense graphs still cost up to 2^n of
-    them.  Each failure carries a witness: the least cut vertex, the
-    Hamiltonian cycle, or the first subset that breaks minimality."""
+    them.  Each subset meets the forced edges first, then the connectivity
+    and cut-vertex tests, and the search last.  Each failure carries a
+    witness: the least cut vertex, the Hamiltonian cycle, or the first subset
+    that breaks minimality."""
     if g.n > OBSTRUCTION_MAX_VERTICES:
         raise TooLarge(f"obstruction check capped at {OBSTRUCTION_MAX_VERTICES} vertices")
     rows, full = g.rows, g.vertex_mask
@@ -148,12 +204,12 @@ def is_hc_obstruction(g: Graph) -> ObstructionVerdict:
     cycle = _cycle_search(rows, full)
     if cycle is not None:
         return ObstructionVerdict(False, "Hamiltonian", Certificate("HamCycle", cycle))
-    # each subset is read through its mask: connected, no cut vertex, no cycle
+    # each subset is read through its mask; a Hamiltonian one cannot break
+    # minimality, so a forced cycle skips the 2-connectivity tests
     for subset, sub in min_degree2_subsets(rows, range(g.n - 1, 2, -1)):
-        if (
-            is_connected_masked(rows, sub)
-            and not _cut_vertices(rows, sub)
-            and _cycle_search(rows, sub) is None
-        ):
+        cycle = _forced_cycle(rows, sub)
+        if cycle or not is_connected_masked(rows, sub) or _cut_vertices(rows, sub):
+            continue
+        if cycle is not None or _backtrack(rows, sub) is None:
             return ObstructionVerdict(False, "NonMinimal", Certificate("Embedding", subset))
     return ObstructionVerdict(True)

@@ -1,5 +1,6 @@
 """Golden outputs, committed byte for byte: the ``verify --max-n 9`` JSON and
-CSV reports, and the sorted canonical forms of every class with n <= 9.
+CSV reports, the sorted canonical forms of every class with n <= 9, and the
+``check`` record of every canonical 3PC spec with at most 11 vertices.
 
 Every change to generation, canonical labeling or the detectors must leave
 these bytes unchanged.  Regenerate only for an intended output change:
@@ -11,14 +12,24 @@ these bytes unchanged.  Regenerate only for an intended output change:
 taken over the concatenated sorted forms ``enumeration._forms_for(n)`` returns:
 
     python -c "import hashlib; from obstructa.enumeration import _forms_for as f; [print(n, len(f(n)[0]), hashlib.sha256(b''.join(f(n)[0])).hexdigest()) for n in range(10)]" > tests/golden/forms-9.sha256
+
+``check-specs.jsonl`` is ``check`` on the graph6 lines of
+``families.all_specs_up_to(11)``, one record per spec in that order:
+
+    python -c "from obstructa.families import all_specs_up_to as a, build_3pc as b; from obstructa.graphs import encode_graph6 as e; [print(e(b(s))) for s in a(11)]" | python -m obstructa.cli check > tests/golden/check-specs.jsonl
 """
 
 import hashlib
 from pathlib import Path
 
+from click.testing import CliRunner
+
 from conftest import ATLAS_MAX_N
 from obstructa import enumeration
+from obstructa.cli import main
 from obstructa.enumeration import verify_main_theorem
+from obstructa.families import all_specs_up_to, build_3pc
+from obstructa.graphs import encode_graph6
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -44,3 +55,12 @@ def test_forms_match_golden_hashes():
         forms, _ = enumeration._forms_for(n)
         got = f"{n} {len(forms)} {hashlib.sha256(b''.join(forms)).hexdigest()}"
         assert got == golden[n]
+
+
+def test_check_matches_golden_records():
+    """Every 3PC is an HC-obstruction, so each of these records runs the
+    obstruction minimality walk to its end, on up to 11 vertices."""
+    lines = "".join(encode_graph6(build_3pc(spec)) + "\n" for spec in all_specs_up_to(11))
+    result = CliRunner().invoke(main, ["check"], input=lines)
+    assert result.exit_code == 0
+    assert result.output.encode() == (GOLDEN / "check-specs.jsonl").read_bytes()

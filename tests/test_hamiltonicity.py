@@ -14,6 +14,7 @@ from obstructa.families import (
 )
 from obstructa.graphs import Certificate, graph_from_edges
 from obstructa.hamiltonicity import (
+    _forced_cycle,
     find_hamiltonian_cycle,
     find_hamiltonian_path,
     is_hamiltonian_cycle,
@@ -97,6 +98,37 @@ class TestOracleAgreement:
                 assert find_hamiltonian_path(g).found == helpers.ham_path_brute(g), g
 
 
+class TestForcedEdges:
+    def test_verdicts_agree_with_brute(self, atlas8):
+        # a forced cycle is the brute force's first cycle, () is never wrong,
+        # and the outcome counts over the n <= 7 atlas are pinned so that a
+        # rule that silently stops deciding fails here
+        counts = {"hamiltonian": 0, "not": 0, "open": 0}
+        for n in range(8):
+            for g in atlas8[n]:
+                verdict = _forced_cycle(g.rows, g.vertex_mask)
+                counts["open" if verdict is None else "hamiltonian" if verdict else "not"] += 1
+                if verdict is not None:
+                    assert verdict == (helpers.first_ham_cycle_brute(g) or ()), g
+        assert counts == {"hamiltonian": 16, "not": 158, "open": 1079}
+        for spec in all_specs_up_to(9):
+            g = build_3pc(spec)
+            verdict = _forced_cycle(g.rows, g.vertex_mask)
+            assert verdict is None or verdict == (helpers.first_ham_cycle_brute(g) or ()), spec
+
+    def test_outcomes_on_named_graphs(self):
+        two_triangles = graph_from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+        assert _forced_cycle(two_triangles.rows, two_triangles.vertex_mask) == ()
+        # C5 plus a pendant path: vertex 4 has three forced edges, and the
+        # mask of the C5 alone is its forced cycle
+        g = graph_from_edges(7, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (4, 5), (5, 6)])
+        assert _forced_cycle(g.rows, g.vertex_mask) == ()
+        assert _forced_cycle(g.rows, 0b11111) == (0, 1, 2, 3, 4)
+        # no vertex of degree 2: nothing is forced
+        k4 = helpers.complete(4)
+        assert _forced_cycle(k4.rows, k4.vertex_mask) is None
+
+
 class TestObstruction:
     def test_theta_222(self):
         v = is_hc_obstruction(build_3pc(ThreePcSpec.of("theta", (2, 2, 2))))
@@ -138,6 +170,13 @@ class TestObstruction:
         # 3PCs up to 9 vertices: sparse obstructions whose minimality check
         # walks every subset size down to 3
         graphs += [build_3pc(spec) for spec in all_specs_up_to(9)]
+        # subdivisions on at most 9 vertices: every cycle in them is forced
+        graphs += [
+            helpers.subdivide_every_edge(g)
+            for level in atlas8.values()
+            for g in level
+            if g.n + g.edge_count <= 9
+        ]
         checked = 0
         for g in graphs:
             if not helpers.two_connected_brute(g) or helpers.ham_cycle_brute(g):
