@@ -114,10 +114,11 @@ def _twin_classes(
 
 
 def _canonical_search(
-    n: int, rows: tuple[int, ...]
+    n: int, rows: tuple[int, ...], root: list[int] | None = None
 ) -> tuple[tuple[int, ...], int, list[tuple[int, ...]], tuple[int, ...]]:
     """Return (canonical rows, automorphism count, automorphism generators,
-    canonical order).
+    canonical order).  ``root`` is the refined unit partition when the
+    caller has it already; otherwise it is refined here.
 
     Each generator is a permutation tuple ``p`` with ``v -> p[v]``; together
     they generate the automorphism group.  The canonical order is the best
@@ -173,7 +174,9 @@ def _canonical_search(
             # a discrete partition is already equitable
             rec(nxt if len(nxt) == n else _refine(n, rows, nxt, [1 << rep]), mult * size)
 
-    rec(_refine(n, rows, [(1 << n) - 1], [(1 << n) - 1]), 1)
+    if root is None:
+        root = _refine(n, rows, [(1 << n) - 1], [(1 << n) - 1])
+    rec(root, 1)
     assert best is not None
     for u, v in sorted(merges):
         perm = list(range(n))

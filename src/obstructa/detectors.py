@@ -107,15 +107,20 @@ def induced_3pcs(rows: Sequence[int]) -> Iterator[tuple[ThreePcSpec, tuple[int, 
     """(canonical spec, ascending vertex tuple) of every vertex subset whose
     induced subgraph is a 3PC, size ascending, then lexicographic.
 
-    Subsets come from :func:`obstructa.graphs.min_degree2_subsets`, which
-    never visits a prefix that cannot reach induced degree 2, so sparse
-    graphs skip most of the 2^n subsets and dense ones do not.  Each is read
-    by :func:`obstructa.families.spec_of_rows`; no subset is labeled.
+    Each size is one window of :func:`obstructa.graphs.min_degree2_subsets`,
+    which never visits a prefix that cannot reach induced degree 2, so
+    sparse graphs skip most of the 2^n subsets and dense ones do not; a
+    small 3PC is met before any larger subset is walked.  A 3PC has 2, 4 or
+    6 branch vertices, so one popcount of the walk's branch mask skips the
+    other subsets, and :func:`obstructa.families.spec_of_rows` reads the
+    rest from that mask; no subset is labeled.
     """
-    for subset, sub in min_degree2_subsets(rows, range(5, len(rows) + 1)):
-        spec = spec_of_rows(rows, sub)
-        if spec is not None:
-            yield spec, subset
+    for k in range(5, len(rows) + 1):
+        for subset, sub, branch in min_degree2_subsets(rows, k, k):
+            if branch.bit_count() in (2, 4, 6):
+                spec = spec_of_rows(rows, sub, branch)
+                if spec is not None:
+                    yield spec, subset
 
 
 def find_induced_3pc(g: Graph) -> Optional[tuple[ThreePcSpec, frozenset[int]]]:

@@ -303,8 +303,8 @@ def _decide_tie(
     * root cell: refine the unit partition once and take C, the first root
       cell holding a maximizer.  Reject when v is not in C, and accept when
       every other vertex of C is a twin of v;
-    * search: label the child, and accept it when v is in the orbit of the
-      first maximizer of the canonical order.
+    * search: label the child from that root partition, and accept it when
+      v is in the orbit of the first maximizer of the canonical order.
     """
     v = n - 1
     vbit = 1 << v
@@ -318,12 +318,13 @@ def _decide_tie(
     rows = tuple(child)
     maximizers = sum(1 << w for w in rivals) | vbit
     full = (1 << n) - 1
-    cell = next(c for c in _refine(n, rows, [full], [full]) if c & maximizers)
+    root = _refine(n, rows, [full], [full])
+    cell = next(c for c in root if c & maximizers)
     if not cell & vbit:
         return None
     if twins(bits(cell & ~vbit)):
         return child, 0
-    form, _, gens, order = _canonical_search(n, rows)
+    form, _, gens, order = _canonical_search(n, rows, root)
     first = next(u for u in order if maximizers >> u & 1)
     return (form, CANONICAL) if _in_orbit(gens, first, v) else None
 

@@ -245,9 +245,16 @@ def all_specs_up_to(max_n: int) -> list[ThreePcSpec]:
     return out
 
 
-def spec_of_rows(rows: Sequence[int], sub: int) -> Optional[ThreePcSpec]:
+def spec_of_rows(
+    rows: Sequence[int], sub: int, branch: Optional[int] = None
+) -> Optional[ThreePcSpec]:
     """The canonical spec of the graph induced on the vertex mask ``sub``, or
     None if that graph is not a 3PC, read off its three-path skeleton.
+
+    ``branch`` is the mask of the induced graph's vertices of degree >= 3,
+    given only when every vertex of it has degree >= 2 (as
+    :func:`obstructa.graphs.min_degree2_subsets` yields it); without it the
+    degrees are counted here.
 
     In a 3PC the vertices of degree >= 3 are exactly the 2, 4 or 6 ends of
     its paths (theta ends, pyramid triangle and apex, prism triangles), and
@@ -269,13 +276,14 @@ def spec_of_rows(rows: Sequence[int], sub: int) -> Optional[ThreePcSpec]:
     The graph is the subdivision of that skeleton, so the skeleton decides
     isomorphism to ``build_3pc(spec)``; no vertex is labeled.
     """
-    branch = 0
-    for v in bits(sub):
-        d = (rows[v] & sub).bit_count()
-        if d < 2:
-            return None
-        if d > 2:
-            branch |= 1 << v
+    if branch is None:
+        branch = 0
+        for v in bits(sub):
+            d = (rows[v] & sub).bit_count()
+            if d < 2:
+                return None
+            if d > 2:
+                branch |= 1 << v
     count = branch.bit_count()
     if count not in (2, 4, 6):
         return None

@@ -215,26 +215,33 @@ def induced_rows(rows: Sequence[int], vertices: Sequence[int]) -> tuple[int, ...
 
 
 def min_degree2_subsets(
-    rows: tuple[int, ...], sizes: Iterable[int]
-) -> Iterator[tuple[tuple[int, ...], int]]:
-    """(ascending vertex tuple, bitmask) of every vertex subset whose induced
-    subgraph has minimum degree >= 2; sizes in the order given, then
-    lexicographic within a size.
+    rows: Sequence[int], lo: int, hi: int
+) -> Iterator[tuple[tuple[int, ...], int, int]]:
+    """(ascending vertex tuple, bitmask, branch mask) of every vertex subset
+    of ``lo`` to ``hi`` vertices whose induced subgraph has minimum degree
+    >= 2, in lexicographic order of the tuples, so a subset comes right
+    before its extensions.  The branch mask holds the subset's vertices with
+    >= 3 neighbours in it.
 
-    Each size is a depth-first walk that picks vertices in ascending order
-    and visits only prefixes that can still be completed: every chosen vertex
-    keeps at least two neighbours among the chosen vertices and the
+    One depth-first walk picks vertices in ascending order and visits only
+    prefixes that can still be completed within the window: every chosen
+    vertex keeps at least two neighbours among the chosen vertices and the
     candidates above the last pick.  That test only gets harder as the next
-    pick rises, so a chosen vertex that fails it caps the whole branch.  The
-    last vertex of a subset comes from one bitmask per second-to-last pick,
-    and a prefix with no room to skip a vertex is completed in one step.
-    Sparse graphs thus skip almost all of the 2^n subsets; dense graphs,
-    where almost every subset qualifies, remain exponential.
+    pick rises, so a chosen vertex that fails it caps the whole branch.
+    Three masks hold the vertices with >= 1, >= 2 and >= 3 chosen
+    neighbours, so each subset's branch vertices come with it.  A prefix with
+    no room to skip a vertex is completed in one step, and a prefix two
+    picks below ``hi`` takes its last pick from one bitmask per
+    second-to-last pick.  Sparse graphs thus skip almost all of the 2^n
+    subsets; dense graphs, where almost every subset qualifies, remain
+    exponential.
     """
     n = len(rows)
-    # ge[v]: vertices >= v; top1/top2: highest and second-highest neighbour
-    # (-1 if none); up1/up2: vertices with >= 1 / >= 2 neighbours above them
-    ge = [((1 << n) - 1) >> v << v for v in range(n + 1)]
+    hi = min(hi, n)
+    if lo > hi:
+        return
+    # top1/top2: highest and second-highest neighbour (-1 if none); up1/up2:
+    # vertices with >= 1 / >= 2 neighbours above them
     top1 = [r.bit_length() - 1 for r in rows]
     top2 = [(r ^ 1 << t).bit_length() - 1 if r else -1 for r, t in zip(rows, top1)]
     up1 = up2 = 0
@@ -243,67 +250,80 @@ def min_degree2_subsets(
             up1 |= 1 << v
         if top2[v] > v:
             up2 |= 1 << v
-    for k in sizes:
-        if k == 0:
-            yield (), 0  # the empty subset meets the degree bound vacuously
-        if not 3 <= k <= n:
-            continue
-        # frames: (prefix, its mask, vertices with >= 1 / >= 2 neighbours in
-        # it, first candidate); children are pushed highest first
-        stack = [((), 0, 0, 0, 0)]
-        while stack:
-            prefix, sub, ones, twos, start = stack.pop()
-            d = len(prefix)
-            hi = n - k + d  # the highest next pick that leaves room for the rest
-            if start == hi:
+    # frames: (prefix, its mask, vertices with >= 1 / >= 2 / >= 3 neighbours
+    # in it, first candidate); children are pushed highest first
+    stack = [((), 0, 0, 0, 0, 0)]
+    while stack:
+        prefix, sub, ones, twos, threes, start = stack.pop()
+        d = len(prefix)
+        if d < lo:
+            top = n - lo + d  # the highest next pick that leaves room for lo
+            if start == top:
                 # no room to skip a vertex: the only completion takes the rest
                 for v in range(start, n):
-                    twos |= ones & rows[v]
-                    ones |= rows[v]
-                sub |= ge[start]
+                    r = rows[v]
+                    threes |= twos & r
+                    twos |= ones & r
+                    ones |= r
+                sub |= (1 << n) - (1 << start)
                 if not sub & ~twos:
-                    yield prefix + tuple(range(start, n)), sub
+                    yield prefix + tuple(range(start, n)), sub, threes & sub
                 continue
-            short = sub & ~twos  # chosen vertices with < 2 chosen neighbours
-            while short:
-                u = short & -short
-                short ^= u
-                u = u.bit_length() - 1
-                # neighbours still needed must lie at or above the next pick
-                cap = top1[u] if ones >> u & 1 else top2[u]
-                if cap < hi:
-                    hi = cap
-            # the next pick needs two neighbours among the chosen vertices and
-            # those above it
-            cand = (twos | ones & up1 | up2) & ge[start] & ~ge[hi + 1] if hi >= start else 0
-            if d < k - 2:
-                while cand:
-                    w = cand.bit_length() - 1
-                    cand ^= 1 << w
-                    r = rows[w]
-                    stack.append((prefix + (w,), sub | 1 << w, ones | r, twos | ones & r, w + 1))
+        else:
+            if not sub & ~twos:
+                yield prefix, sub, threes & sub
+            if d == hi:
                 continue
-            # the last two picks: w, then every x above it that gives each
-            # short vertex its missing neighbour and has two chosen neighbours
+            top = n - 1
+        short = sub & ~twos  # chosen vertices with < 2 chosen neighbours
+        while short:
+            u = short & -short
+            short ^= u
+            u = u.bit_length() - 1
+            # neighbours still needed must lie at or above the next pick
+            cap = top1[u] if ones >> u & 1 else top2[u]
+            if cap < top:
+                top = cap
+        if top < start:
+            continue
+        # the next pick needs two neighbours among the chosen vertices and
+        # those above it
+        cand = (twos | ones & up1 | up2) & (2 << top) - (1 << start)
+        if d < hi - 2:
             while cand:
-                w = (cand & -cand).bit_length() - 1
-                cand &= cand - 1
+                w = cand.bit_length() - 1
+                cand ^= 1 << w
                 r = rows[w]
-                pick = sub | 1 << w
-                ones_w = ones | r
-                twos_w = twos | ones & r
-                short = pick & ~twos_w
-                if short & ~ones_w:
-                    continue
-                last = twos_w & ge[w + 1]
-                while short and last:
-                    u = short & -short
-                    last &= rows[u.bit_length() - 1]
-                    short ^= u
-                while last:
-                    x = last & -last
-                    yield prefix + (w, x.bit_length() - 1), pick | x
-                    last ^= x
+                stack.append(
+                    (prefix + (w,), sub | 1 << w, ones | r, twos | ones & r, threes | twos & r, w + 1)
+                )
+            continue
+        # the last two picks: w, then every x above it that gives each short
+        # vertex its missing neighbour and has two chosen neighbours
+        while cand:
+            w = (cand & -cand).bit_length() - 1
+            cand &= cand - 1
+            r = rows[w]
+            pick = sub | 1 << w
+            ones_w = ones | r
+            twos_w = twos | ones & r
+            threes_w = threes | twos & r
+            short = pick & ~twos_w
+            if not short:
+                if d + 1 >= lo:
+                    yield prefix + (w,), pick, threes_w & pick
+            elif short & ~ones_w:
+                continue
+            last = twos_w >> w + 1 << w + 1
+            while short and last:
+                u = short & -short
+                last &= rows[u.bit_length() - 1]
+                short ^= u
+            while last:
+                x = last & -last
+                last ^= x
+                xv = x.bit_length() - 1
+                yield prefix + (w, xv), pick | x, (threes_w | twos_w & rows[xv]) & (pick | x)
 
 
 def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, dict[int, int]]:

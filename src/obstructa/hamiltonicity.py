@@ -187,13 +187,17 @@ class ObstructionVerdict:
 def is_hc_obstruction(g: Graph) -> ObstructionVerdict:
     """The one obstruction decision: 2-connected, then non-Hamiltonian, then
     minimal, meaning no proper induced subgraph on >= 3 vertices is
-    2-connected and non-Hamiltonian.  Only the subsets of the pruned
-    :func:`obstructa.graphs.min_degree2_subsets` walk (size descending, then
-    lexicographic) can break minimality; dense graphs still cost up to 2^n of
-    them.  Each subset meets the forced edges first, then the connectivity
-    and cut-vertex tests, and the search last.  Each failure carries a
-    witness: the least cut vertex, the Hamiltonian cycle, or the first subset
-    that breaks minimality."""
+    2-connected and non-Hamiltonian.  Only the subsets of one pass of the
+    pruned :func:`obstructa.graphs.min_degree2_subsets` walk over the sizes
+    3 to n - 1 can break minimality; dense graphs still cost up to 2^n of
+    them.  A subset with no branch vertex is disjoint cycles, so Hamiltonian
+    or disconnected, and is skipped; so is one no larger than the largest
+    failing subset found so far.  Each subset tested meets the forced edges
+    first, then the connectivity and cut-vertex tests, and the search last.
+    Each failure carries a witness: the least cut vertex, the Hamiltonian
+    cycle, or the largest subset that breaks minimality, lexicographically
+    first of its size (the walk meets each size in lexicographic order, and
+    the pass ends at the first failing subset of size n - 1)."""
     if g.n > OBSTRUCTION_MAX_VERTICES:
         raise TooLarge(f"obstruction check capped at {OBSTRUCTION_MAX_VERTICES} vertices")
     rows, full = g.rows, g.vertex_mask
@@ -206,10 +210,17 @@ def is_hc_obstruction(g: Graph) -> ObstructionVerdict:
         return ObstructionVerdict(False, "Hamiltonian", Certificate("HamCycle", cycle))
     # each subset is read through its mask; a Hamiltonian one cannot break
     # minimality, so a forced cycle skips the 2-connectivity tests
-    for subset, sub in min_degree2_subsets(rows, range(g.n - 1, 2, -1)):
+    witness: tuple[int, ...] = ()
+    for subset, sub, branch in min_degree2_subsets(rows, 3, g.n - 1):
+        if not branch or len(subset) <= len(witness):
+            continue
         cycle = _forced_cycle(rows, sub)
         if cycle or not is_connected_masked(rows, sub) or _cut_vertices(rows, sub):
             continue
         if cycle is not None or _backtrack(rows, sub) is None:
-            return ObstructionVerdict(False, "NonMinimal", Certificate("Embedding", subset))
+            witness = subset
+            if len(witness) == g.n - 1:
+                break
+    if witness:
+        return ObstructionVerdict(False, "NonMinimal", Certificate("Embedding", witness))
     return ObstructionVerdict(True)

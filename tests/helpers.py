@@ -233,19 +233,19 @@ def special_edges_brute(g: Graph) -> list[tuple[tuple[int, int], int]]:
 
 
 def min_degree2_subsets_oracle(rows: tuple[int, ...], sizes):
-    """(ascending vertex tuple, bitmask) of every vertex subset whose induced
-    subgraph has minimum degree >= 2; sizes in the order given, then
-    lexicographic within a size.  Every combination is built, then filtered."""
+    """(ascending vertex tuple, bitmask, branch mask) of every vertex subset
+    whose induced subgraph has minimum degree >= 2; sizes in the order
+    given, then lexicographic within a size.  The branch mask holds the
+    subset's vertices of induced degree >= 3.  Every combination is built,
+    then filtered."""
     n = len(rows)
     pows = [1 << v for v in range(n)]
     for k in sizes:
         for subset in itertools.combinations(range(n), k):
             sub = sum(map(pows.__getitem__, subset))
-            for v in subset:
-                if (rows[v] & sub).bit_count() < 2:
-                    break
-            else:
-                yield subset, sub
+            degrees = [(rows[v] & sub).bit_count() for v in subset]
+            if all(d >= 2 for d in degrees):
+                yield subset, sub, sum(pows[v] for v, d in zip(subset, degrees) if d >= 3)
 
 
 def nonminimal_oracle(g: Graph) -> Optional[tuple[int, ...]]:
@@ -369,7 +369,7 @@ def induced_3pcs_oracle(g: Graph) -> Iterator[tuple[ThreePcSpec, tuple[int, ...]
     """(spec, vertex tuple) of every vertex subset inducing a 3PC, size
     ascending, then lexicographic: every combination of minimum induced
     degree 2 goes through :func:`recognize_3pc_oracle`."""
-    for subset, _ in min_degree2_subsets_oracle(g.rows, range(5, g.n + 1)):
+    for subset, _, _ in min_degree2_subsets_oracle(g.rows, range(5, g.n + 1)):
         spec = recognize_3pc_oracle(Graph(len(subset), induced_rows(g.rows, subset)))
         if spec is not None:
             yield spec, subset

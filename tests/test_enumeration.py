@@ -10,7 +10,7 @@ import pytest
 from click.testing import CliRunner
 
 import helpers
-from obstructa import detectors, enumeration, families, graphs, hamiltonicity
+from obstructa import canon, detectors, enumeration, families, graphs, hamiltonicity
 from obstructa.canon import (
     _canonical_search,
     automorphism_count,
@@ -101,18 +101,30 @@ class TestGeneration:
         # search rejects: 13,625 at n <= 8, no more than the 14,655 of
         # labeling every tie, which labeled as many children as the
         # seen-set did, one per automorphism orbit of masks where the new
-        # vertex maximizes the invariant
+        # vertex maximizes the invariant.  A searched tie starts from the
+        # root partition its root-cell step refined, so verify refines
+        # 12,374 partitions, 1,363 fewer than when each of those searches
+        # refined its own root
         sizes = []
+        refined = []
         search = enumeration._canonical_search
+        refine = canon._refine
 
-        def counting(n, rows):
+        def counting(n, rows, *root):
             sizes.append(n)
-            return search(n, rows)
+            return search(n, rows, *root)
+
+        def counting_refine(*args):
+            refined.append(args[0])
+            return refine(*args)
 
         monkeypatch.setattr(enumeration, "_canonical_search", counting)
         monkeypatch.setattr(enumeration, "canonical_rows", lambda n, rows: counting(n, rows)[0])
+        monkeypatch.setattr(enumeration, "_refine", counting_refine)
+        monkeypatch.setattr(canon, "_refine", counting_refine)
         monkeypatch.setattr(enumeration, "_atlas", {0: enumeration._atlas[0]})
         assert verify_main_theorem(8, jobs=1).counterexamples == ()
+        assert len(refined) == 12374
         # the searches on n vertices: the parents of n + 1 vertices, and the
         # tied children on n vertices that go to the search
         per_size = collections.Counter(sizes)

@@ -129,18 +129,20 @@ class TestInducedSubgraph:
         for _ in range(60):
             g = helpers.random_graph(rng, rng.randint(3, 8), rng.random())
             sizes = list(range(g.n, 2, -1))
-            want = [
-                s
-                for k in sizes
-                for s in itertools.combinations(range(g.n), k)
-                if min(induced_subgraph(g, s)[0].degree_sequence()) >= 2
-            ]
-            got = list(helpers.min_degree2_subsets_oracle(g.rows, sizes))
-            assert [s for s, _ in got] == want
-            assert all(mask == sum(1 << v for v in s) for s, mask in got)
-        # the pruned walk against the oracle: tuples, masks and order, on
-        # every small class, sparse 3PCs and wheels where pruning cuts most,
-        # cliques where it cuts nothing, and random graphs in between
+            want = []
+            for k in sizes:
+                for s in itertools.combinations(range(g.n), k):
+                    sub_rows = induced_subgraph(g, s)[0].rows
+                    if min(r.bit_count() for r in sub_rows) >= 2:
+                        branch = [v for v, r in zip(s, sub_rows) if r.bit_count() >= 3]
+                        want.append((s, sum(1 << v for v in s), sum(1 << v for v in branch)))
+            assert list(helpers.min_degree2_subsets_oracle(g.rows, sizes)) == want
+        # the pruned walk against the oracle: tuples, masks, branch masks and
+        # order, on every small class, sparse 3PCs and wheels where pruning
+        # cuts most, cliques where it cuts nothing, and random graphs in
+        # between.  Each one-size window walks the sizes one at a time, as
+        # the 3PC scan does; the whole window and the minimality check's
+        # window 3..n-1 are one lexicographic pass over all sizes
         graphs = [g for n in range(8) for g in atlas8[n]]
         graphs += [build_3pc(spec) for spec in all_specs_up_to(12)]
         graphs += [
@@ -151,15 +153,14 @@ class TestInducedSubgraph:
         graphs += [
             helpers.random_graph(rng, rng.randint(3, 12), p / 10) for p in range(1, 10) for _ in range(4)
         ]
-        for i, g in enumerate(graphs):
-            ascending = list(range(g.n + 2))  # size 0 and sizes above n included
-            shuffled = ascending[:]
-            rng.shuffle(shuffled)
-            orders = (ascending, ascending[::-1], shuffled)
-            # the larger graphs take one order each, in turn
-            for sizes in orders if g.n <= 7 else orders[i % 3 : i % 3 + 1]:
-                want = list(helpers.min_degree2_subsets_oracle(g.rows, sizes))
-                assert list(min_degree2_subsets(g.rows, sizes)) == want, (g, sizes)
+        for g in graphs:
+            sizes = range(g.n + 2)  # size 0 and a size above n included
+            want = {k: list(helpers.min_degree2_subsets_oracle(g.rows, [k])) for k in sizes}
+            for k in sizes:
+                assert list(min_degree2_subsets(g.rows, k, k)) == want[k], (g, k)
+            for lo, hi in [(0, g.n + 1), (3, g.n - 1)]:
+                window = sorted(s for k in range(lo, hi + 1) for s in want[k])
+                assert list(min_degree2_subsets(g.rows, lo, hi)) == window, (g, lo, hi)
 
 
 class TestConnectivity:

@@ -12,7 +12,14 @@ from obstructa.families import (
     build_short_variant,
     build_wheel,
 )
-from obstructa.graphs import Certificate, graph_from_edges
+from obstructa import hamiltonicity
+from obstructa.graphs import (
+    Certificate,
+    decode_graph6,
+    graph_from_edges,
+    induced_subgraph,
+    min_degree2_subsets,
+)
 from obstructa.hamiltonicity import (
     _forced_cycle,
     find_hamiltonian_cycle,
@@ -155,7 +162,7 @@ class TestObstruction:
         v = is_hc_obstruction(g)
         assert not v.is_obstruction and v.failure_reason == "NonMinimal"
         assert v.witness.tag == "Embedding"
-        # size-descending order: the first witness is the largest one
+        # the witness is the largest failing subset, lexicographically first
         assert v.witness.payload == (0, 1, 2, 3, 4)
         from obstructa.graphs import induced_subgraph, is_two_connected
 
@@ -190,6 +197,61 @@ class TestObstruction:
                 assert v.failure_reason == "NonMinimal", g
                 assert v.witness == Certificate("Embedding", witness), g
         assert checked > 0
+
+    def test_one_pass_witness_is_the_largest_failing_subset(self, atlas8):
+        # the walk is one lexicographic pass over the sizes 3..n-1, so it can
+        # meet a smaller failing subset before the witness; the witness is
+        # still the largest failing subset, lexicographically first of its
+        # size.  On F?Fn_ the walk meets (0, 1, 2, 5, 6) first
+        def failing(g, subset):
+            sub, _ = induced_subgraph(g, subset)
+            return helpers.two_connected_brute(sub) and not helpers.ham_cycle_brute(sub)
+
+        def met_before(g, witness):
+            walk = (s for s, _, _ in min_degree2_subsets(g.rows, 3, g.n - 1))
+            return [s for s in iter(walk.__next__, witness) if failing(g, s)]
+
+        g = decode_graph6("F?Fn_")
+        v = is_hc_obstruction(g)
+        assert v.witness == Certificate("Embedding", (0, 1, 3, 4, 5, 6))
+        assert helpers.nonminimal_oracle(g) == (0, 1, 3, 4, 5, 6)
+        assert met_before(g, (0, 1, 3, 4, 5, 6))[0] == (0, 1, 2, 5, 6)
+        # every atlas class where the walk meets a failing subset before the
+        # witness
+        early = 0
+        for n in range(3, 9):
+            for g in atlas8[n]:
+                v = is_hc_obstruction(g)
+                if v.failure_reason == "NonMinimal" and met_before(g, v.witness.payload):
+                    early += 1
+                    assert v.witness.payload == helpers.nonminimal_oracle(g), g
+        assert early == 36
+
+    def test_minimality_work_on_specs(self, monkeypatch):
+        # a 3PC spec is an obstruction, so its minimality pass finds no
+        # failing subset and tests every subset the walk yields with a
+        # branch vertex: 1,321 of the 1,969 over all_specs_up_to(11); the
+        # others are disjoint cycles.  Each tested subset meets the forced
+        # edges once, as does the whole graph
+        walked, forced = [], []
+        walk, decide = hamiltonicity.min_degree2_subsets, hamiltonicity._forced_cycle
+
+        def counted_walk(rows, lo, hi):
+            for item in walk(rows, lo, hi):
+                walked.append(item)
+                yield item
+
+        def counted_forced(rows, within):
+            forced.append(within)
+            return decide(rows, within)
+
+        monkeypatch.setattr(hamiltonicity, "min_degree2_subsets", counted_walk)
+        monkeypatch.setattr(hamiltonicity, "_forced_cycle", counted_forced)
+        specs = all_specs_up_to(11)
+        assert len(specs) == 134
+        assert all(is_hc_obstruction(build_3pc(spec)).is_obstruction for spec in specs)
+        assert len(walked) == 1969
+        assert sum(1 for _, _, branch in walked if branch) == len(forced) - len(specs) == 1321
 
     def test_too_large(self):
         with pytest.raises(TooLarge):
