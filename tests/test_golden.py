@@ -17,6 +17,13 @@ taken over the concatenated sorted forms ``enumeration._forms_for(n)`` returns:
 ``families.all_specs_up_to(11)``, one record per spec in that order:
 
     python -c "from obstructa.families import all_specs_up_to as a, build_3pc as b; from obstructa.graphs import encode_graph6 as e; [print(e(b(s))) for s in a(11)]" | python -m obstructa.cli check > tests/golden/check-specs.jsonl
+
+``decompose.jsonl`` is the ``decompose`` trace of 105 inputs, one per line:
+the classes with n <= 5 in ``enumerate_graphs`` order, the graph6 of the
+specs of ``families.all_specs_up_to(9)``, then ``DECOMPOSE_SPECS``.  Between
+them they reach every error record of the trace and 31 line-graph roots:
+
+    python -c "from obstructa.enumeration import enumerate_graphs as E; from obstructa.families import all_specs_up_to as a, build_3pc as b; from obstructa.graphs import encode_graph6 as e; [print(e(g)) for n in range(6) for g in E(n)]; [print(e(b(s))) for s in a(9)]; print('theta+1:2,2,2', 'shortprism:1,1,1', 'shortpyramid:1,2,2', 'wheel:6@0,2,4', sep='\\n')" | while read -r g; do python -m obstructa.cli decompose "$g"; done > tests/golden/decompose.jsonl
 """
 
 import hashlib
@@ -27,11 +34,13 @@ from click.testing import CliRunner
 from conftest import ATLAS_MAX_N
 from obstructa import enumeration
 from obstructa.cli import main
-from obstructa.enumeration import verify_main_theorem
+from obstructa.enumeration import enumerate_graphs, verify_main_theorem
 from obstructa.families import all_specs_up_to, build_3pc
 from obstructa.graphs import encode_graph6
 
 GOLDEN = Path(__file__).parent / "golden"
+
+DECOMPOSE_SPECS = ("theta+1:2,2,2", "shortprism:1,1,1", "shortpyramid:1,2,2", "wheel:6@0,2,4")
 
 
 def test_verify_matches_golden_reports():
@@ -64,3 +73,19 @@ def test_check_matches_golden_records():
     result = CliRunner().invoke(main, ["check"], input=lines)
     assert result.exit_code == 0
     assert result.output.encode() == (GOLDEN / "check-specs.jsonl").read_bytes()
+
+
+def test_decompose_matches_golden_traces():
+    """Every step record of the structural trace, its certificates and its
+    precondition errors, on graphs that are disconnected, separable,
+    ambiguous in their special edges and line graphs."""
+    inputs = [encode_graph6(g) for n in range(6) for g in enumerate_graphs(n)]
+    inputs += [encode_graph6(build_3pc(spec)) for spec in all_specs_up_to(9)]
+    inputs += DECOMPOSE_SPECS
+    runner = CliRunner()
+    out = []
+    for text in inputs:
+        result = runner.invoke(main, ["decompose", text])
+        assert result.exit_code == 0, text
+        out.append(result.output)
+    assert "".join(out).encode() == (GOLDEN / "decompose.jsonl").read_bytes()
