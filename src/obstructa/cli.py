@@ -159,85 +159,64 @@ def decompose(graph: Optional[str], input_file: Optional[str]) -> None:
         _fail(EXIT_TOO_LARGE, f"decompose capped at {DECOMPOSE_MAX_VERTICES} vertices")
     steps: list[dict] = []
 
-    def record(step: str, n: int, certificate=None, error: Optional[str] = None) -> None:
-        entry: dict = {"step": step, "input_n": n}
-        if error is not None:
-            entry["error"] = error
-        else:
-            entry["certificate"] = certificate
-        steps.append(entry)
+    def step(name: str, n: int, run) -> None:
+        """Append the certificate run() returns, or the precondition it broke."""
+        try:
+            steps.append({"step": name, "input_n": n, "certificate": run()})
+        except (NotConnected, NotTwoConnected, AmbiguousMidpoints) as exc:
+            steps.append({"step": name, "input_n": n, "error": type(exc).__name__})
 
-    cur = g
-    try:
-        cur, log = reduce_adjacent_degree2(cur)
-        record("reduce_adjacent_degree2", g.n, {"contractions": [list(e) for e in log]})
-    except NotTwoConnected as exc:
-        record("reduce_adjacent_degree2", g.n, error=type(exc).__name__)
-    try:
-        specials = find_special_edges(cur)
-        record(
-            "find_special_edges",
-            cur.n,
-            {"special_edges": [[list(s.edge), s.midpoint] for s in specials]},
-        )
-        reduced, removed = reduce_special_edges(cur)
-        record("reduce_special_edges", cur.n, {"removed": list(removed)})
-        cur = reduced
-    except (NotTwoConnected, AmbiguousMidpoints) as exc:
-        record("reduce_special_edges", cur.n, error=type(exc).__name__)
-    try:
+    def contract() -> dict:
+        nonlocal cur
+        cur, log = reduce_adjacent_degree2(g)
+        return {"contractions": [list(e) for e in log]}
+
+    def drop_midpoints() -> dict:
+        # find_special_edges raises first on a graph that is not 2-connected,
+        # which so gets only the reduce_special_edges error
+        nonlocal cur
+        specials = [[list(s.edge), s.midpoint] for s in find_special_edges(cur)]
+        step("find_special_edges", cur.n, lambda: {"special_edges": specials})
+        cur, removed = reduce_special_edges(cur)
+        return {"removed": list(removed)}
+
+    def clique_cutset() -> dict:
         cutset = find_clique_cutset(cur)
-        record(
-            "find_clique_cutset",
-            cur.n,
-            {"clique_cutset": sorted(cutset[0]) if cutset else None},
-        )
-    except NotConnected as exc:
-        record("find_clique_cutset", cur.n, error=type(exc).__name__)
-    root = None
-    try:
+        return {"clique_cutset": sorted(cutset[0]) if cutset else None}
+
+    def line_graph_root() -> dict:
+        nonlocal target
         res = recognize_line_graph(cur)
         if res is None:
-            record("recognize_line_graph", cur.n, {"root": None})
-        else:
-            root = res.root
-            record(
-                "recognize_line_graph",
-                cur.n,
-                {
-                    "root": {
-                        "n": root.n,
-                        "edges": [list(e) for e in root.edges()],
-                        "triangle_free": triangle_free(root),
-                        "chordless": is_chordless(root)[0],
-                    },
-                    "edge_map": [list(e) for e in res.edge_map],
-                },
-            )
-    except NotConnected as exc:
-        record("recognize_line_graph", cur.n, error=type(exc).__name__)
-    target = root if root is not None else cur
-    sparse, violator = is_two_sparse(target)
-    record("is_two_sparse", target.n, {"two_sparse": sparse, "violating_edge": violator})
-    try:
-        split = find_proper_2_cutset(target)
-        record(
-            "find_proper_2_cutset",
-            target.n,
-            {
-                "split": None
-                if split is None
-                else {
-                    "u": split.u,
-                    "v": split.v,
-                    "X": sorted(split.side_x),
-                    "Y": sorted(split.side_y),
-                }
+            return {"root": None}
+        target = root = res.root
+        return {
+            "root": {
+                "n": root.n,
+                "edges": [list(e) for e in root.edges()],
+                "triangle_free": triangle_free(root),
+                "chordless": is_chordless(root)[0],
             },
-        )
-    except NotConnected as exc:
-        record("find_proper_2_cutset", target.n, error=type(exc).__name__)
-    record("has_k4_minor", target.n, {"has_k4_minor": has_k4_minor(target)})
+            "edge_map": [list(e) for e in res.edge_map],
+        }
+
+    def proper_2_cutset() -> dict:
+        split = find_proper_2_cutset(target)
+        if split is None:
+            return {"split": None}
+        x, y = sorted(split.side_x), sorted(split.side_y)
+        return {"split": {"u": split.u, "v": split.v, "X": x, "Y": y}}
+
+    cur = g
+    step("reduce_adjacent_degree2", g.n, contract)
+    step("reduce_special_edges", cur.n, drop_midpoints)
+    step("find_clique_cutset", cur.n, clique_cutset)
+    target = cur
+    step("recognize_line_graph", cur.n, line_graph_root)
+    sparse, violator = is_two_sparse(target)
+    step("is_two_sparse", target.n, lambda: {"two_sparse": sparse, "violating_edge": violator})
+    step("find_proper_2_cutset", target.n, proper_2_cutset)
+    step("has_k4_minor", target.n, lambda: {"has_k4_minor": has_k4_minor(target)})
     click.echo(json.dumps(steps, sort_keys=True))
 
 

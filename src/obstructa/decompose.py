@@ -6,7 +6,7 @@ K4-minor testing, and the two imported-dichotomy checkers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Iterator, Optional
 
 from .errors import AmbiguousMidpoints, NotConnected, NotTwoConnected, PreconditionViolated
@@ -42,14 +42,9 @@ def reduce_adjacent_degree2(g: Graph) -> tuple[Graph, tuple[tuple[int, int], ...
         raise NotTwoConnected("degree-2 reduction requires a 2-connected graph")
     log: list[tuple[int, int]] = []
     cur = g
-    while True:
-        if cur.n == 3 and cur.edge_count == 3:
-            break
-        target = None
-        for u, v in cur.edges():
-            if cur.degree(u) == 2 and cur.degree(v) == 2:
-                target = (u, v)
-                break
+    while not (cur.n == 3 and cur.edge_count == 3):
+        pairs = ((u, v) for u, v in cur.edges() if cur.degree(u) == cur.degree(v) == 2)
+        target = next(pairs, None)
         if target is None:
             break
         log.append(target)
@@ -104,7 +99,7 @@ def reduce_special_edges(g: Graph) -> tuple[Graph, tuple[int, ...]]:
         if len(mids) > 1:
             raise AmbiguousMidpoints(f"special edge {edge} has midpoints {sorted(mids)}")
     removed = tuple(sorted(s.midpoint for s in specials))
-    keep = tuple(v for v in range(g.n) if v not in set(removed))
+    keep = tuple(bits(g.vertex_mask & ~mask_of(removed)))
     return Graph(len(keep), induced_rows(g.rows, keep)), removed
 
 
@@ -114,72 +109,63 @@ def reduce_special_edges(g: Graph) -> tuple[Graph, tuple[int, ...]]:
 
 
 def _two_disjoint_paths(
-    g: Graph, s: int, t: int
+    rows: list[int], s: int, t: int
 ) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Two internally disjoint (s,t)-paths, or None if there are none.
+    """Two internally disjoint (s,t)-paths between nonadjacent s and t, or
+    None if there are none.
 
-    Unit-capacity max flow on the vertex-split network with two augmentations;
-    by Menger, both succeed exactly when the paths exist.
+    Unit-capacity max flow on the vertex-split network, where node 2v is v's
+    entry and 2v + 1 its exit and s and t are one node each, with two BFS
+    augmentations; by Menger, both succeed exactly when the paths exist.
+    ``arcs[a]`` holds the residual arcs out of node a as a mask, so an
+    augmentation flips one bit per arc.  An arc carries flow when it is in
+    the network and not in the residual one, and the paths follow those arcs.
     """
-    inn = lambda v: 2 * v
-    out = lambda v: 2 * v if v in (s, t) else 2 * v + 1
-    cap: dict[tuple[int, int], int] = {}
-    succ: dict[int, list[int]] = {}  # residual adjacency (both directions)
-    forward: dict[int, list[int]] = {}  # original arc directions only
-
-    def arc(a: int, b: int) -> None:
-        cap[(a, b)] = 1
-        cap.setdefault((b, a), 0)
-        succ.setdefault(a, []).append(b)
-        succ.setdefault(b, []).append(a)
-        forward.setdefault(a, []).append(b)
-
-    for v in range(g.n):
-        if v not in (s, t):
-            arc(inn(v), out(v))
-    for u, w in g.edges():
-        arc(out(u), inn(w))
-        arc(out(w), inn(u))
-
-    source, sink = inn(s), inn(t)
+    given = [0] * (2 * len(rows))
+    for v, row in enumerate(rows):
+        exit_ = 2 * v + (v not in (s, t))
+        given[exit_] = sum(1 << 2 * w for w in bits(row))
+        if exit_ & 1:
+            given[2 * v] = 1 << exit_
+    arcs = list(given)
+    source, sink = 2 * s, 2 * t
     for _ in range(2):
-        prev: dict[int, Optional[int]] = {source: None}
+        prev = [0] * len(arcs)
+        seen = 1 << source
         frontier = [source]
-        while frontier and sink not in prev:
+        while frontier and not seen >> sink & 1:
             nxt = []
             for a in frontier:
-                for b in succ.get(a, ()):
-                    if cap.get((a, b), 0) > 0 and b not in prev:
-                        prev[b] = a
-                        nxt.append(b)
+                new = arcs[a] & ~seen
+                seen |= new
+                # an exit offers its arc back into its own entry before the
+                # others; the order decides which node claims a successor
+                # two nodes share, and so the witness
+                back = new & 1 << a - 1 if a & 1 else 0
+                for b in chain(bits(back), bits(new ^ back)):
+                    prev[b] = a
+                    nxt.append(b)
             frontier = nxt
-        if sink not in prev:
+        if not seen >> sink & 1:
             return None
-        node = sink
-        while prev[node] is not None:
-            a = prev[node]
-            cap[(a, node)] -= 1
-            cap[(node, a)] += 1
-            node = a
+        b = sink
+        while b != source:
+            a = prev[b]
+            arcs[a] ^= 1 << b
+            arcs[b] ^= 1 << a
+            b = a
 
-    def walk() -> tuple[int, ...]:
-        # follow net flow over original arcs only, consuming as we go
+    # the source is the one node with two arcs carrying flow; every other
+    # node on a path has one, and the entries (even nodes) name the vertices
+    paths = []
+    for a in bits(given[source] & ~arcs[source]):
         path = [s]
-        node = source
-        while node != sink:
-            step = None
-            for b in forward.get(node, ()):
-                if cap[(node, b)] == 0:
-                    step = b
-                    break
-            assert step is not None
-            cap[(node, step)] = 1
-            node = step
-            if path[-1] != node // 2:
-                path.append(node // 2)
-        return tuple(path)
-
-    return walk(), walk()
+        while a != sink:
+            if not a & 1:
+                path.append(a // 2)
+            a = next(bits(given[a] & ~arcs[a]))
+        paths.append((*path, t))
+    return paths[0], paths[1]
 
 
 def is_chordless(g: Graph) -> tuple[bool, Optional[tuple[tuple[int, int], tuple[int, ...]]]]:
@@ -193,8 +179,7 @@ def is_chordless(g: Graph) -> tuple[bool, Optional[tuple[tuple[int, int], tuple[
         rows = list(g.rows)
         rows[u] &= ~(1 << v)
         rows[v] &= ~(1 << u)
-        stripped = Graph(g.n, tuple(rows))
-        paths = _two_disjoint_paths(stripped, u, v)
+        paths = _two_disjoint_paths(rows, u, v)
         if paths is not None:
             p1, p2 = paths
             cycle = p1 + tuple(reversed(p2[1:-1]))
@@ -415,31 +400,24 @@ def recognize_line_graph(g: Graph) -> Optional[RootGraphResult]:
 
 def has_k4_minor(g: Graph) -> bool:
     """Series-parallel reduction: drop degree<=1 vertices, suppress degree-2
-    vertices (collapsing parallels on the fly); the reduction empties exactly
-    the K4-minor-free graphs.
+    vertices; the reduction empties exactly the K4-minor-free graphs.
+
+    Removing v ORs its row into each neighbour's row, which joins the two
+    neighbours of a degree-2 vertex and collapses parallel edges.
     """
-    adj = {v: set(bits(g.rows[v])) for v in range(g.n)}
-    queue = list(adj)
+    rows = list(g.rows)
+    alive = g.vertex_mask
+    queue = list(range(g.n))
     while queue:
         v = queue.pop()
-        if v not in adj:
+        row = rows[v]
+        if not alive >> v & 1 or row.bit_count() > 2:
             continue
-        deg = len(adj[v])
-        if deg > 2:
-            continue
-        if deg <= 1:
-            for w in adj.pop(v):
-                adj[w].discard(v)
-                queue.append(w)
-            continue
-        x, y = adj.pop(v)
-        adj[x].discard(v)
-        adj[y].discard(v)
-        if y not in adj[x]:
-            adj[x].add(y)
-            adj[y].add(x)
-        queue += [x, y]
-    return bool(adj)
+        alive ^= 1 << v
+        for w in bits(row):
+            rows[w] = (rows[w] | row) & ~(1 << v | 1 << w)
+            queue.append(w)
+    return bool(alive)
 
 
 def k4_subdivision_witness(g: Graph) -> Optional[Certificate]:

@@ -85,10 +85,9 @@ class Certificate:
     """Tagged witness re-validatable against the graph it was issued for.
 
     Tags and payloads:
-      HamCycle / HamPath        -- vertex sequence
+      HamCycle                  -- vertex sequence
       CutVertex                 -- (v,)
-      Cutset / CliqueCutset     -- sorted vertex tuple
-      TwoEdgeCutset             -- ((u1, v1), (u2, v2))
+      CliqueCutset              -- sorted vertex tuple
       Embedding                 -- sorted vertex tuple of an induced subgraph
       K4Subdivision             -- (branch 4-tuple, six path tuples)
       ProperTwoCutsetSplit      -- (u, v, X tuple, Y tuple)

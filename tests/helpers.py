@@ -9,7 +9,9 @@ import functools
 import itertools
 from typing import Iterator, Optional
 
+import networkx as nx
 from hypothesis import strategies as st
+from networkx.algorithms.connectivity import local_node_connectivity
 
 from obstructa.canon import canonical_rows
 from obstructa.families import ThreePcSpec, build_3pc, specs_with_vertex_count
@@ -230,6 +232,37 @@ def special_edges_brute(g: Graph) -> list[tuple[tuple[int, int], int]]:
             if alone and set(g.neighbors(w)) == {u, v}:
                 out.append(((u, v), w))
     return out
+
+
+def first_chord_oracle(g: Graph) -> Optional[tuple[int, int]]:
+    """The first edge uv, in ``g.edges()`` order, that is a chord of some
+    cycle: deleting it leaves u and v joined by two internally disjoint
+    paths, by networkx's flow-based local node connectivity."""
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edges())
+    for u, v in g.edges():
+        h.remove_edge(u, v)
+        joined = local_node_connectivity(h, u, v) >= 2
+        h.add_edge(u, v)
+        if joined:
+            return u, v
+    return None
+
+
+def is_chord_witness(g: Graph, chord: tuple[int, int], cycle: tuple[int, ...]) -> bool:
+    """``cycle`` is a cycle of g on distinct vertices through both ends of
+    ``chord`` that does not use the chord itself."""
+    k = len(cycle)
+    steps = {frozenset((cycle[i], cycle[(i + 1) % k])) for i in range(k)}
+    return (
+        k >= 3
+        and len(set(cycle)) == k
+        and set(chord) <= set(cycle)
+        and g.has_edge(*chord)
+        and all(g.has_edge(*e) for e in steps)
+        and frozenset(chord) not in steps
+    )
 
 
 def min_degree2_subsets_oracle(rows: tuple[int, ...], sizes):

@@ -148,6 +148,35 @@ class TestChordless:
     def test_k26(self):
         assert is_chordless(helpers.complete_bipartite(2, 6))[0]
 
+    def test_matches_connectivity_oracle_to_n7(self, atlas8):
+        # verdict and chord against networkx's local node connectivity on
+        # all 1,252 classes with 1 <= n <= 7, and a valid witness cycle for
+        # each of the 1,001 that have a chord
+        chorded = 0
+        for n in range(1, 8):
+            for g in atlas8[n]:
+                ok, witness = is_chordless(g)
+                chord = helpers.first_chord_oracle(g)
+                assert ok == (chord is None), g
+                if not ok:
+                    chorded += 1
+                    assert witness[0] == chord, g
+                    assert helpers.is_chord_witness(g, *witness), g
+        assert chorded == 1001
+
+    def test_witness_where_the_second_augmentation_backs_up(self):
+        # the shortest path 0-2-5-8-1 blocks the second search, which backs
+        # up from 8 to the exit of 5; that exit reaches its own entry and
+        # the entry of 4, and both lead on to 6 at the same depth.  An exit
+        # lists its arc back into its own entry first, so 6 is reached
+        # through 2 and the witness is the shorter cycle
+        g = graph_from_edges(
+            10,
+            [(0, 1), (0, 2), (0, 3), (1, 8), (1, 9), (2, 5), (2, 6), (3, 7), (4, 5), (4, 6),
+             (5, 8), (6, 9), (7, 8)],
+        )
+        assert is_chordless(g) == (False, ((0, 1), (0, 2, 6, 9, 1, 8, 7, 3)))
+
     def test_diamond_has_chord(self):
         assert not is_chordless(helpers.diamond())[0]
 

@@ -1,5 +1,5 @@
-"""Property tests for the input parsers, canonical labeling, 3PC recognition
-and bad input at the CLI.
+"""Property tests for the input parsers, canonical labeling, 3PC recognition,
+the chord test and bad input at the CLI.
 
 Example counts are bounded so the file adds a few seconds to the suite, and
 no example database is written.
@@ -8,9 +8,10 @@ no example database is written.
 from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
-from helpers import graphs, recognize_3pc_oracle
+from helpers import first_chord_oracle, graphs, is_chord_witness, recognize_3pc_oracle
 from obstructa.canon import canonical_rows
 from obstructa.cli import main
+from obstructa.decompose import is_chordless
 from obstructa.errors import GraphError, MalformedGraph6
 from obstructa.families import (
     KIND_ORDER,
@@ -71,6 +72,24 @@ def test_recognize_3pc_matches_oracle_near_3pcs(spec, data):
         edges ^= {frozenset(pair)}
     h = graph_from_edges(g.n, [tuple(e) for e in edges])
     assert recognize_3pc(h) == recognize_3pc_oracle(h)
+
+
+# ---------------------------------------------------------------------------
+# chordless graphs
+# ---------------------------------------------------------------------------
+
+
+@FUZZ
+@given(graphs(24))
+def test_is_chordless_matches_connectivity_oracle(g):
+    # decompose runs the chord test on line-graph roots of up to 32
+    # vertices, past the atlas's 9
+    ok, witness = is_chordless(g)
+    chord = first_chord_oracle(g)
+    assert ok == (chord is None)
+    if not ok:
+        assert witness[0] == chord
+        assert is_chord_witness(g, *witness)
 
 
 # ---------------------------------------------------------------------------
