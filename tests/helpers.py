@@ -15,7 +15,15 @@ from networkx.algorithms.connectivity import local_node_connectivity
 
 from obstructa.canon import canonical_rows
 from obstructa.families import ThreePcSpec, build_3pc, specs_with_vertex_count
-from obstructa.graphs import Graph, bits, flood, graph_from_edges, induced_rows
+from obstructa.graphs import (
+    Graph,
+    bits,
+    flood,
+    graph_from_edges,
+    induced_rows,
+    induced_subgraph,
+    is_path_graph,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -263,6 +271,82 @@ def is_chord_witness(g: Graph, chord: tuple[int, int], cycle: tuple[int, ...]) -
         and all(g.has_edge(*e) for e in steps)
         and frozenset(chord) not in steps
     )
+
+
+def _components_brute(g: Graph, vertices: list[int]) -> tuple[frozenset[int], ...]:
+    """Components of the subgraph induced on ``vertices``, ordered by least
+    vertex, grown by repeated adjacency tests."""
+    out = []
+    left = sorted(vertices)
+    while left:
+        comp = {left[0]}
+        stack = [left[0]]
+        while stack:
+            u = stack.pop()
+            for w in left:
+                if w not in comp and g.has_edge(u, w):
+                    comp.add(w)
+                    stack.append(w)
+        out.append(frozenset(comp))
+        left = [v for v in left if v not in comp]
+    return tuple(out)
+
+
+def clique_cutset_oracle(g: Graph) -> Optional[tuple[frozenset[int], tuple[frozenset[int], ...]]]:
+    """The first vertex subset (size ascending, then lexicographic) that is a
+    clique and whose deletion leaves two or more components, with those
+    components by least vertex; None if there is none.  Every combination
+    is built and tested."""
+    for size in range(1, g.n):
+        for subset in itertools.combinations(range(g.n), size):
+            if not all(g.has_edge(a, b) for a, b in itertools.combinations(subset, 2)):
+                continue
+            comps = _components_brute(g, [v for v in range(g.n) if v not in subset])
+            if len(comps) >= 2:
+                return frozenset(subset), comps
+    return None
+
+
+def line_graph_oracle(g: Graph) -> tuple[Graph, tuple[tuple[int, int], ...]]:
+    """L(g) from the definition: vertex i is the i-th edge (u, v), u < v, in
+    lexicographic order, and i ~ j exactly when edges i and j share an end."""
+    edges = [(u, v) for u, v in itertools.combinations(range(g.n), 2) if g.has_edge(u, v)]
+    lg = graph_from_edges(
+        len(edges),
+        [(i, j) for i, j in itertools.combinations(range(len(edges)), 2) if set(edges[i]) & set(edges[j])],
+    )
+    return lg, tuple(edges)
+
+
+def _side_is_valid(g: Graph, u: int, v: int, comps: list[frozenset[int]]) -> bool:
+    joined = any(
+        any(g.has_edge(u, w) for w in c) and any(g.has_edge(v, w) for w in c) for c in comps
+    )
+    side = frozenset().union(*comps)
+    return joined and not is_path_graph(induced_subgraph(g, side | {u, v})[0])
+
+
+def proper_2_cutset_oracle(g: Graph) -> Optional[tuple[int, int, frozenset[int], frozenset[int]]]:
+    """(u, v, X, Y) of the first proper 2-cutset split in the order
+    ``decompose.find_proper_2_cutset`` documents: nonadjacent pairs u < v in
+    lexicographic order, X holding the component with the least vertex,
+    assignments of the other components to Y in ascending bitmask order.  A
+    side is valid when it is nonempty, some component of it has neighbours
+    of both u and v, and the graph induced on it plus {u, v} is not a path,
+    judged by ``is_path_graph`` on the induced subgraph."""
+    for u, v in itertools.combinations(range(g.n), 2):
+        if g.has_edge(u, v):
+            continue
+        comps = _components_brute(g, [x for x in range(g.n) if x not in (u, v)])
+        if len(comps) < 2:
+            continue
+        head, tail = comps[0], comps[1:]
+        for assign in range(1, 1 << len(tail)):
+            ys = [c for i, c in enumerate(tail) if assign >> i & 1]
+            xs = [head] + [c for i, c in enumerate(tail) if not assign >> i & 1]
+            if all(_side_is_valid(g, u, v, side) for side in (xs, ys)):
+                return u, v, frozenset().union(*xs), frozenset().union(*ys)
+    return None
 
 
 def min_degree2_subsets_oracle(rows: tuple[int, ...], sizes):

@@ -31,6 +31,7 @@ from obstructa.graphs import (
     contract_edge,
     graph_from_edges,
     induced_subgraph,
+    is_connected_masked,
     is_two_connected,
     line_graph,
 )
@@ -213,6 +214,15 @@ class TestProperTwoCutset:
             from obstructa.graphs import is_path_graph
 
             assert not is_path_graph(sub)
+
+    def test_matches_oracle_to_n7(self, atlas8):
+        for n in range(min(7, max(atlas8)) + 1):
+            for g in atlas8[n]:
+                if not is_connected_masked(g.rows, g.vertex_mask):
+                    continue
+                split = find_proper_2_cutset(g)
+                got = split and (split.u, split.v, split.side_x, split.side_y)
+                assert got == helpers.proper_2_cutset_oracle(g), g
 
 
 class TestTwoEdgeCutsets:

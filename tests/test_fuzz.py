@@ -5,14 +5,22 @@ Example counts are bounded so the file adds a few seconds to the suite, and
 no example database is written.
 """
 
+import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
-from helpers import first_chord_oracle, graphs, is_chord_witness, recognize_3pc_oracle
+from helpers import (
+    clique_cutset_oracle,
+    first_chord_oracle,
+    graphs,
+    is_chord_witness,
+    line_graph_oracle,
+    recognize_3pc_oracle,
+)
 from obstructa.canon import canonical_rows
 from obstructa.cli import main
 from obstructa.decompose import is_chordless
-from obstructa.errors import GraphError, MalformedGraph6
+from obstructa.errors import GraphError, MalformedGraph6, NotConnected
 from obstructa.families import (
     KIND_ORDER,
     SHORT_PRISM,
@@ -31,8 +39,11 @@ from obstructa.graphs import (
     MAX_VERTICES,
     decode_graph6,
     encode_graph6,
+    find_clique_cutset,
     format_edge_list,
     graph_from_edges,
+    is_connected_masked,
+    line_graph,
     parse_edge_list,
 )
 
@@ -90,6 +101,27 @@ def test_is_chordless_matches_connectivity_oracle(g):
     if not ok:
         assert witness[0] == chord
         assert is_chord_witness(g, *witness)
+
+
+# ---------------------------------------------------------------------------
+# clique cutsets and line graphs
+# ---------------------------------------------------------------------------
+
+
+@FUZZ
+@given(graphs(12))
+def test_find_clique_cutset_matches_subset_oracle(g):
+    if not is_connected_masked(g.rows, g.vertex_mask):
+        with pytest.raises(NotConnected):
+            find_clique_cutset(g)
+        return
+    assert find_clique_cutset(g) == clique_cutset_oracle(g)
+
+
+@FUZZ
+@given(graphs(11))
+def test_line_graph_matches_definition(g):
+    assert line_graph(g) == line_graph_oracle(g)
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ from obstructa.graphs import (
     find_clique_cutset,
     graph_from_edges,
     induced_subgraph,
+    is_connected_masked,
     line_graph,
     min_degree2_subsets,
     parse_edge_list,
@@ -225,6 +226,12 @@ class TestCliqueCutset:
         hit = find_clique_cutset(g)
         assert hit is not None and hit[0] == frozenset({1})
 
+    def test_matches_subset_oracle_to_n7(self, atlas8):
+        for n in range(min(7, max(atlas8)) + 1):
+            for g in atlas8[n]:
+                if is_connected_masked(g.rows, g.vertex_mask):
+                    assert find_clique_cutset(g) == helpers.clique_cutset_oracle(g), g
+
 
 class TestLineGraph:
     def test_p3(self):
@@ -243,6 +250,11 @@ class TestLineGraph:
     def test_capacity(self):
         with pytest.raises(CapacityExceeded):
             line_graph(helpers.complete(13))  # 78 edges
+
+    def test_matches_definition_to_n7(self, atlas8):
+        for n in range(min(7, max(atlas8)) + 1):
+            for g in atlas8[n]:
+                assert line_graph(g) == helpers.line_graph_oracle(g), g
 
 
 class TestContraction:
