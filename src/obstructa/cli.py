@@ -52,7 +52,8 @@ EXIT_PARSE = 2
 EXIT_TOO_LARGE = 3
 EXIT_BAD_SPEC = 4
 
-# clique listing and line-graph recognition are exponential on dense graphs
+# the clique walk stops at the first cutset but, like line-graph recognition,
+# stays exponential on dense graphs
 DECOMPOSE_MAX_VERTICES = 16
 
 _SPEC_ERRORS = (ShortVariant, TooManyThetaChords, InvalidLengths, TooFewSpokes, VertexOutOfRange)

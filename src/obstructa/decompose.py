@@ -19,9 +19,8 @@ from .graphs import (
     contract_edge,
     find_clique_cutset,
     graph_from_edges,
-    induced_rows,
+    induced_subgraph,
     is_connected_masked,
-    is_path_graph,
     is_two_connected,
     mask_of,
 )
@@ -99,8 +98,7 @@ def reduce_special_edges(g: Graph) -> tuple[Graph, tuple[int, ...]]:
         if len(mids) > 1:
             raise AmbiguousMidpoints(f"special edge {edge} has midpoints {sorted(mids)}")
     removed = tuple(sorted(s.midpoint for s in specials))
-    keep = tuple(bits(g.vertex_mask & ~mask_of(removed)))
-    return Graph(len(keep), induced_rows(g.rows, keep)), removed
+    return induced_subgraph(g, bits(g.vertex_mask & ~mask_of(removed)))[0], removed
 
 
 # ---------------------------------------------------------------------------
@@ -208,17 +206,18 @@ class ProperTwoCutsetSplit:
     side_y: frozenset[int]
 
 
-def _split_is_valid(g: Graph, u: int, v: int, xm: int, ym: int) -> bool:
+def _split_is_valid(rows: tuple[int, ...], u: int, v: int, xm: int, ym: int) -> bool:
+    """Each side has a component touching both u and v, and with u and v
+    does not induce a path.  Every component of G - {u, v} touches u or v,
+    so side | {u, v} is then connected, and a path exactly when its degrees
+    there are at most 2 and sum to 2 * |side| + 2."""
     pair = 1 << u | 1 << v
     for side in (xm, ym):
-        if side == 0:
+        if not any(rows[u] & c and rows[v] & c for c in component_masks(rows, side)):
             return False
-        # a (u,v)-path inside the side needs one component touching both
-        comps = component_masks(g.rows, side)
-        if not any(g.rows[u] & c and g.rows[v] & c for c in comps):
-            return False
-        verts = tuple(bits(side | pair))
-        if is_path_graph(Graph(len(verts), induced_rows(g.rows, verts))):
+        within = side | pair
+        degrees = [(rows[w] & within).bit_count() for w in bits(within)]
+        if max(degrees) <= 2 and sum(degrees) == 2 * side.bit_count() + 2:
             return False
     return True
 
@@ -239,15 +238,10 @@ def find_proper_2_cutset(g: Graph) -> Optional[ProperTwoCutsetSplit]:
             comps = component_masks(g.rows, rest)
             if len(comps) < 2:
                 continue
-            head, tail = comps[0], comps[1:]
-            for assign in range(1, 1 << len(tail)):
-                xm, ym = head, 0
-                for i, c in enumerate(tail):
-                    if assign >> i & 1:
-                        ym |= c
-                    else:
-                        xm |= c
-                if _split_is_valid(g, u, v, xm, ym):
+            for assign in range(1, 1 << len(comps) - 1):
+                ym = sum(c for i, c in enumerate(comps[1:]) if assign >> i & 1)
+                xm = rest ^ ym
+                if _split_is_valid(g.rows, u, v, xm, ym):
                     return ProperTwoCutsetSplit(u, v, frozenset(bits(xm)), frozenset(bits(ym)))
     return None
 
@@ -301,51 +295,46 @@ def krausz_partitions(g: Graph) -> Iterator[tuple[tuple[int, ...], ...]]:
     """All partitions of E(G) into cliques with every vertex in <= 2 parts.
 
     Deterministic: the lowest uncovered edge is covered next; candidate
-    cliques are tried largest first, then lexicographically.
+    cliques are tried largest first, then lexicographically.  ``covered[v]``
+    masks v's neighbours across edges already in a part, so the lowest
+    uncovered edge starts at the first u with an uncovered neighbour above
+    it, and adding or removing a part is one XOR per member.
     """
-    edges = g.edges()
-    if not edges:
-        yield ()
-        return
-    eidx = {e: i for i, e in enumerate(edges)}
-    all_mask = (1 << len(edges)) - 1
+    rows = g.rows
+    covered = [0] * g.n
     counts = [0] * g.n
 
-    def clique_candidates(u: int, v: int, covered: int) -> list[tuple[int, ...]]:
+    def rec(start: int, parts: list[tuple[int, ...]]) -> Iterator[tuple]:
+        for u in range(start, g.n):
+            up = rows[u] & ~covered[u] & -(2 << u)
+            if up:
+                break
+        else:
+            yield tuple(parts)
+            return
+        v = (up & -up).bit_length() - 1
+        if counts[u] >= 2 or counts[v] >= 2:
+            return
         # cliques through (u, v): since (u, v) is the lowest uncovered edge,
         # any other member w < v would put a covered edge inside the clique,
         # so growing with members above v is exhaustive
-        cands: list[tuple[int, ...]] = []
+        cands: list[tuple[tuple[int, ...], int]] = []
 
-        def grow(members: tuple[int, ...], common: int) -> None:
-            cands.append(members)
+        def grow(members: tuple[int, ...], mm: int, common: int) -> None:
+            cands.append((members, mm))
             for w in bits(common):
-                if counts[w] >= 2:
-                    continue
-                if any(covered >> eidx[(min(x, w), max(x, w))] & 1 for x in members):
-                    continue
-                grow(members + (w,), common & g.rows[w] & ~((1 << (w + 1)) - 1))
+                if counts[w] < 2 and not covered[w] & mm:
+                    grow(members + (w,), mm | 1 << w, common & rows[w] >> w + 1 << w + 1)
 
-        grow((u, v), g.rows[u] & g.rows[v] & ~((1 << (v + 1)) - 1))
-        return sorted(cands, key=lambda c: (-len(c), c))
-
-    def rec(covered: int, parts: list[tuple[int, ...]]) -> Iterator[tuple]:
-        if covered == all_mask:
-            yield tuple(parts)
-            return
-        low = ((covered + 1) & ~covered).bit_length() - 1  # lowest zero bit
-        u, v = edges[low]
-        if counts[u] >= 2 or counts[v] >= 2:
-            return
-        for clique in clique_candidates(u, v, covered):
-            add = 0
-            for x, y in combinations(clique, 2):
-                add |= 1 << eidx[(min(x, y), max(x, y))]
-            for w in clique:
-                counts[w] += 1
-            yield from rec(covered | add, parts + [clique])
-            for w in clique:
-                counts[w] -= 1
+        grow((u, v), 1 << u | 1 << v, rows[u] & rows[v] >> v + 1 << v + 1)
+        for members, mm in sorted(cands, key=lambda c: (-len(c[0]), c[0])):
+            for x in members:
+                covered[x] ^= mm ^ 1 << x
+                counts[x] += 1
+            yield from rec(u, parts + [members])
+            for x in members:
+                covered[x] ^= mm ^ 1 << x
+                counts[x] -= 1
 
     yield from rec(0, [])
 
@@ -388,9 +377,8 @@ def recognize_line_graph(g: Graph) -> Optional[RootGraphResult]:
         return RootGraphResult(star, ((0, 1), (0, 2), (0, 3)))
     if _has_claw(g):
         return None  # line graphs are claw-free
-    for parts in krausz_partitions(g):
-        return root_from_partition(g, parts)
-    return None
+    parts = next(krausz_partitions(g), None)
+    return None if parts is None else root_from_partition(g, parts)
 
 
 # ---------------------------------------------------------------------------

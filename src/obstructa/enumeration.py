@@ -9,17 +9,8 @@ vertex invariant (degree, sum of neighbour degrees) in the child.  Of the
 maximizers of a graph, the canonical one is the first in its canonical
 order (see :func:`obstructa.canon._canonical_search`); its orbit does not
 depend on the labeling.  A child is accepted exactly when its new vertex is
-in that orbit.  Most children decide it without a search:
-
-* the new vertex is the only maximizer;
-* every other maximizer is a twin of it (their rows agree outside the
-  pair), so swapping the two is an automorphism;
-* the root equitable partition decides: the canonical maximizer is in the
-  first root cell that holds a maximizer, because every leaf of the search
-  lists the root cells in order (individualization and refinement split
-  cells in place) and the invariant is constant on an equitable cell.
-  Orbits lie inside cells, so the new vertex is rejected outside that cell,
-  and accepted when the rest of the cell are its twins.
+in that orbit.  Most children decide it without a search, by the steps of
+:func:`_child_forms` and :func:`_decide_tie`, which say why each is exact.
 
 Each class is accepted exactly once:
 
@@ -39,16 +30,10 @@ children.  The census reads each level as generation left it, in
 generation order; :func:`enumerate_graphs` reads the sorted canonical view,
 which labels each class at most once and is byte-identical from run to run.
 
-Each new class also gets two facts, decided from its parent P and the new
-vertex's mask M when it is accepted, and kept with the level:
-
-* 2-connected: P is connected, |M| >= 2, and M meets every component of
-  P - c for every cut vertex c of P, since G - v = P, P - u stays connected
-  for a non-cut vertex u, and v joins the components of P - c;
-* wheel-free: P is wheel-free (the property is hereditary, so every wheel of
-  the child contains the new vertex), M has at most two vertices on every
-  induced cycle of P (no hub), and no induced cycle through the new vertex
-  has a vertex off it with >= 3 neighbours on it (no rim).
+Each new class also gets two facts, 2-connected and wheel-free, decided
+from its parent and the new vertex's mask when it is accepted, and kept
+with the level; :func:`_extension_facts` states both rules and why they are
+exact.
 
 The census verifies the main characterization through two checks per n:
 
@@ -142,9 +127,23 @@ def _map_chunks(fn: Callable, items: list, jobs: int) -> list:
 
 def _extension_facts(rows: tuple[int, ...], facts: int) -> Callable[[int, list[int]], int]:
     """For a parent P with these rows and facts byte, the facts byte of the
-    child P + v as a function of v's neighbour mask M and the child's rows
-    (P's vertices first, then v), by the two rules in :func:`_child_forms`.
-    The cut-vertex components and the induced cycles of P are found once."""
+    child G = P + v as a function of v's neighbour mask M and the child's
+    rows (P's vertices first, then v).  The cut-vertex components and the
+    induced cycles of P are found once.  Both rules are exact:
+
+    * G is 2-connected exactly when it has n >= 3 vertices, P is connected,
+      |M| >= 2, and M meets every component of P - c for every cut vertex c
+      of P.  G - v is P.  For a vertex u of P, G - u is P - u with v joined
+      to M - u: when u is no cut vertex of P it is connected, since
+      |M| >= 2 leaves v a neighbour, and when u is one it is connected
+      exactly when M meets every component of P - u.
+    * G is wheel-free exactly when P is, v is no hub and v is on no rim.
+      Wheel-freeness is hereditary, so every wheel of a child of a
+      wheel-free parent contains v.  v is the hub of one exactly when M has
+      three vertices on an induced cycle of P, and on its rim exactly when
+      some induced cycle of G through v has a vertex off it with >= 3
+      neighbours on it.
+    """
     n_parent = len(rows)
     pmask = (1 << n_parent) - 1
     # the components M must meet, or None when no child is 2-connected
@@ -198,43 +197,11 @@ def _child_forms(parents: list[tuple[tuple[int, ...], int]]) -> tuple[list[bytes
     A child in which no rival ties the new vertex's sum is accepted as the
     walk built it (P's vertices first, then v): v is the only maximizer of
     the invariant, so it is the canonical one.  A child with a tie goes to
-    :func:`_decide_tie`, which accepts it as built when every rival is a
-    twin of v, or when the root equitable partition puts v in the first
-    cell holding a maximizer and the rest of that cell are twins of v; it
-    rejects it when v is outside that cell.  Both are exact:
-
-    * the canonical maximizer is in that cell.  Every leaf of the canonical
-      search lists the root cells in their order, since individualizing a
-      vertex and refining split a cell in place.  A cell of an equitable
-      partition has one degree and one count against each cell, hence one
-      neighbour-degree sum, so it holds maximizers only, and the first
-      maximizer of the canonical order is in the first cell that has one;
-    * the root partition is isomorphism-invariant, so each automorphism
-      orbit lies inside one cell, and a twin w of v gives the automorphism
-      (v w), which puts w in v's orbit.
-
-    Only the other ties are labeled, and accepted when v is in the orbit of
-    the first maximizer in the canonical order under the child's
-    automorphism generators; such a child keeps its canonical rows, marked
+    :func:`_decide_tie`; one that it labels keeps its canonical rows, marked
     by ``CANONICAL`` in its facts byte.  The module docstring shows that
     every class is accepted exactly once, so parents split across workers
-    give disjoint results.
-
-    A child's facts byte comes from :func:`_extension_facts`.  Both rules
-    are exact:
-
-    * G = P + v is 2-connected exactly when it has n >= 3 vertices, P is
-      connected, |M| >= 2, and M meets every component of P - c for every
-      cut vertex c of P.  G - v is P.  For a vertex u of P, G - u is P - u
-      with v joined to M - u: when u is no cut vertex of P it is connected,
-      since |M| >= 2 leaves v a neighbour, and when u is one it is connected
-      exactly when M meets every component of P - u.
-    * G is wheel-free exactly when P is, v is no hub and v is on no rim.
-      Wheel-freeness is hereditary, so every wheel of a child of a
-      wheel-free parent contains v.  v is the hub of one exactly when M has
-      three vertices on an induced cycle of P, and on its rim exactly when
-      some induced cycle of G through v has a vertex off it with >= 3
-      neighbours on it.
+    give disjoint results.  A child's facts byte comes from
+    :func:`_extension_facts`.
     """
     accepted: list[bytes] = []
     accepted_facts = bytearray()
@@ -295,8 +262,7 @@ def _decide_tie(
     ``rivals`` on (degree, sum of neighbour degrees): None when v is not in
     the orbit of the canonical maximizer, else the rows to keep and the
     facts bit they carry, ``(child, 0)`` as built or ``(form, CANONICAL)``
-    when the child was labeled.  Steps, in order (see :func:`_child_forms`
-    for why each is exact):
+    when the child was labeled.  Steps, in order:
 
     * twins: when every rival w is a twin of v (their rows agree outside
       {v, w}), every maximizer is in v's orbit: accept, with no refinement;
@@ -305,6 +271,19 @@ def _decide_tie(
       every other vertex of C is a twin of v;
     * search: label the child from that root partition, and accept it when
       v is in the orbit of the first maximizer of the canonical order.
+
+    The first two steps are exact:
+
+    * a twin w of v gives the automorphism (v w), which puts w in v's orbit;
+    * the canonical maximizer is in C.  Every leaf of the canonical search
+      lists the root cells in their order, since individualizing a vertex
+      and refining split a cell in place.  A cell of an equitable partition
+      has one degree and one count against each cell, hence one
+      neighbour-degree sum, so it holds maximizers only, and the first
+      maximizer of the canonical order is in the first cell that has one.
+      The root partition is isomorphism-invariant, so each automorphism
+      orbit lies inside one cell: v outside C is not in the canonical
+      maximizer's orbit, and v in C whose cell-mates are its twins is.
     """
     v = n - 1
     vbit = 1 << v

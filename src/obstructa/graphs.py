@@ -9,7 +9,6 @@ this module is a pure function.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import (
@@ -469,35 +468,28 @@ def connectivity_report(g: Graph) -> ConnectivityReport:
 # ---------------------------------------------------------------------------
 
 
-def _all_cliques(g: Graph) -> Iterator[tuple[int, ...]]:
-    """Every clique (as a sorted vertex tuple), smallest first then lexicographic."""
-    # Recursive extension to higher-labeled common neighbors; grouped by size.
-    by_size: dict[int, list[tuple[int, ...]]] = {}
-
-    def grow(clique: tuple[int, ...], common: int) -> None:
-        by_size.setdefault(len(clique), []).append(clique)
-        for v in bits(common):
-            grow(clique + (v,), common & g.rows[v] & ~((1 << (v + 1)) - 1))
-
-    for v in range(g.n):
-        grow((v,), g.rows[v] & ~((1 << (v + 1)) - 1))
-    for size in sorted(by_size):
-        yield from sorted(by_size[size])
-
-
 def find_clique_cutset(g: Graph) -> Optional[tuple[frozenset[int], tuple[frozenset[int], ...]]]:
-    """First clique (size ascending, then lexicographic) whose removal disconnects g."""
-    if not is_connected_masked(g.rows, g.vertex_mask):
-        raise NotConnected("clique cutset search requires a connected graph")
+    """First clique (size ascending, then lexicographic) whose removal
+    disconnects g, with the components left.  Cliques grow a size at a time
+    as (mask, common neighbours above the last vertex): parents in
+    lexicographic order, extended in ascending order, keep each size in that
+    order unsorted.  A clique is tested when made; dense graphs stay
+    exponential."""
+    rows = g.rows
     full = g.vertex_mask
-    for clique in _all_cliques(g):
-        cm = mask_of(clique)
-        rest = full & ~cm
-        if rest == 0:
-            continue
-        comps = component_masks(g.rows, rest)
-        if len(comps) >= 2:
-            return frozenset(clique), tuple(frozenset(bits(c)) for c in comps)
+    if not is_connected_masked(rows, full):
+        raise NotConnected("clique cutset search requires a connected graph")
+    level = [(0, full)]  # the empty clique, every vertex a candidate
+    while level:
+        grown = []
+        for cm, common in level:
+            for w in bits(common):
+                clique = cm | 1 << w
+                comps = component_masks(rows, full & ~clique)
+                if len(comps) >= 2:
+                    return frozenset(bits(clique)), tuple(frozenset(bits(c)) for c in comps)
+                grown.append((clique, common & rows[w] >> w + 1 << w + 1))
+        level = grown
     return None
 
 
@@ -507,18 +499,17 @@ def find_clique_cutset(g: Graph) -> Optional[tuple[frozenset[int], tuple[frozens
 
 
 def line_graph(g: Graph) -> tuple[Graph, tuple[tuple[int, int], ...]]:
-    """Line graph plus the vertex->edge index mapping (lexicographic edge order)."""
+    """Line graph plus the vertex->edge index mapping (lexicographic edge
+    order); ``inc[v]`` masks the edges at v, so edge uv meets inc[u] | inc[v]."""
     edges = g.edges()
     if len(edges) > MAX_VERTICES:
         raise CapacityExceeded(f"line graph would need {len(edges)} > {MAX_VERTICES} vertices")
-    k = len(edges)
-    rows = [0] * k
-    for i, j in combinations(range(k), 2):
-        a, b = edges[i], edges[j]
-        if a[0] in b or a[1] in b:
-            rows[i] |= 1 << j
-            rows[j] |= 1 << i
-    return Graph(k, tuple(rows)), tuple(edges)
+    inc = [0] * g.n
+    for i, (u, v) in enumerate(edges):
+        inc[u] |= 1 << i
+        inc[v] |= 1 << i
+    rows = tuple((inc[u] | inc[v]) & ~(1 << i) for i, (u, v) in enumerate(edges))
+    return Graph(len(edges), rows), tuple(edges)
 
 
 # ---------------------------------------------------------------------------
