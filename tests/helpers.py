@@ -292,6 +292,18 @@ def _components_brute(g: Graph, vertices: list[int]) -> tuple[frozenset[int], ..
     return tuple(out)
 
 
+def cut_vertices_oracle(g: Graph, within: int) -> int:
+    """Mask of the vertices v in ``within`` whose deletion raises the
+    component count of v's own component of the subgraph induced on
+    ``within``; components by repeated adjacency tests."""
+    out = 0
+    for comp in _components_brute(g, list(bits(within))):
+        for v in comp:
+            if len(_components_brute(g, [u for u in comp if u != v])) > 1:
+                out |= 1 << v
+    return out
+
+
 def clique_cutset_oracle(g: Graph) -> Optional[tuple[frozenset[int], tuple[frozenset[int], ...]]]:
     """The first vertex subset (size ascending, then lexicographic) that is a
     clique and whose deletion leaves two or more components, with those

@@ -5,12 +5,14 @@ Example counts are bounded so the file adds a few seconds to the suite, and
 no example database is written.
 """
 
+import networkx as nx
 import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
 from helpers import (
     clique_cutset_oracle,
+    cut_vertices_oracle,
     first_chord_oracle,
     graphs,
     is_chord_witness,
@@ -37,12 +39,15 @@ from obstructa.families import (
 from obstructa.graphs import (
     GRAPH6_MAX_VERTICES,
     MAX_VERTICES,
+    _cut_vertices,
+    bits,
     decode_graph6,
     encode_graph6,
     find_clique_cutset,
     format_edge_list,
     graph_from_edges,
     is_connected_masked,
+    is_two_connected,
     line_graph,
     parse_edge_list,
 )
@@ -101,6 +106,24 @@ def test_is_chordless_matches_connectivity_oracle(g):
     if not ok:
         assert witness[0] == chord
         assert is_chord_witness(g, *witness)
+
+
+# ---------------------------------------------------------------------------
+# cut vertices
+# ---------------------------------------------------------------------------
+
+
+@FUZZ
+@given(graphs(16))
+def test_cut_vertices_match_networkx(g):
+    # networkx counts K2 as biconnected; here 2-connected needs 3 vertices
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edges())
+    cut = _cut_vertices(g.rows, g.vertex_mask)
+    assert set(bits(cut)) == set(nx.articulation_points(h))
+    assert cut == cut_vertices_oracle(g, g.vertex_mask)
+    assert is_two_connected(g) == (g.n >= 3 and nx.is_biconnected(h))
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,8 @@ from obstructa.errors import (
 from obstructa.families import ThreePcSpec, WheelSpec, all_specs_up_to, build_3pc, build_wheel
 from obstructa.graphs import (
     Graph,
+    _cut_vertices,
+    bits,
     connectivity_report,
     contract_edge,
     decode_graph6,
@@ -23,6 +25,7 @@ from obstructa.graphs import (
     graph_from_edges,
     induced_subgraph,
     is_connected_masked,
+    is_two_connected,
     line_graph,
     min_degree2_subsets,
     parse_edge_list,
@@ -183,6 +186,28 @@ class TestConnectivity:
         g = graph_from_edges(5, [(0, 1), (2, 3)])
         rep = connectivity_report(g)
         assert sorted(map(sorted, rep.components)) == [[0, 1], [2, 3], [4]]
+
+    def test_cut_vertices_match_oracle_to_n6(self, atlas8):
+        # every class under every vertex mask, disconnected masks included
+        for n in range(7):
+            for g in atlas8[n]:
+                for within in range(1 << n):
+                    cut = helpers.cut_vertices_oracle(g, within)
+                    assert _cut_vertices(g.rows, within) == cut, (g, within)
+                    sub, _ = induced_subgraph(g, bits(within))
+                    want = sub.n >= 3 and is_connected_masked(g.rows, within) and not cut
+                    assert is_two_connected(sub) == want, (g, within)
+
+    def test_64_vertex_path_and_cycle(self):
+        # the largest graphs there are, so the deepest depth-first walks
+        path, cycle = helpers.path(64), helpers.cycle(64)
+        assert not is_two_connected(path) and is_two_connected(cycle)
+        rep = connectivity_report(path)
+        assert rep.connected and not rep.two_connected
+        assert rep.cut_vertices == frozenset(range(1, 63))
+        assert rep.components == (frozenset(range(64)),)
+        rep = connectivity_report(cycle)
+        assert rep.connected and rep.two_connected and not rep.cut_vertices
 
     def test_two_connected_survives_any_deletion(self, atlas):
         # exhaustive cross-check up to the acceptance scale
