@@ -12,7 +12,7 @@ reads each one by its three-path skeleton
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterator, Optional, Sequence
 
 from .errors import TooLarge
@@ -116,11 +116,11 @@ def induced_3pcs(rows: Sequence[int]) -> Iterator[tuple[ThreePcSpec, tuple[int, 
     rest from that mask; no subset is labeled.
     """
     for k in range(5, len(rows) + 1):
-        for subset, sub, branch in min_degree2_subsets(rows, k, k):
+        for sub, branch in min_degree2_subsets(rows, k, k):
             if branch.bit_count() in (2, 4, 6):
                 spec = spec_of_rows(rows, sub, branch)
                 if spec is not None:
-                    yield spec, subset
+                    yield spec, tuple(bits(sub))
 
 
 def find_induced_3pc(g: Graph) -> Optional[tuple[ThreePcSpec, frozenset[int]]]:
@@ -156,14 +156,9 @@ class ClassificationRecord:
     recognized_3pc: Optional[ThreePcSpec]
 
     def to_dict(self) -> dict:
-        return {
-            "two_connected": self.two_connected,
-            "wheel_free": self.wheel_free,
-            "contains_3pc": self.contains_3pc,
-            "hamiltonian": self.hamiltonian,
-            "hc_obstruction": self.hc_obstruction,
-            "recognized_3pc": format_spec(self.recognized_3pc) if self.recognized_3pc else None,
-        }
+        out = asdict(self)
+        out["recognized_3pc"] = format_spec(self.recognized_3pc) if self.recognized_3pc else None
+        return out
 
 
 def classify(g: Graph) -> ClassificationRecord:

@@ -66,7 +66,7 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 from .canon import _canonical_search, _refine, canonical_rows, encode_form, graph_from_canonical
 from .errors import InvalidJobCount, TooLarge
 from .families import build_3pc, specs_with_vertex_count
-from .graphs import Graph, _cut_vertices, bits, component_masks, encode_graph6, flood
+from .graphs import Graph, _cut_vertices, bits, component_masks, encode_graph6, is_connected_masked
 from .detectors import find_induced_3pc, find_induced_wheel, find_wheel_through, induced_cycles
 from .hamiltonicity import find_hamiltonian_cycle, is_hc_obstruction
 
@@ -148,7 +148,7 @@ def _extension_facts(rows: tuple[int, ...], facts: int) -> Callable[[int, list[i
     pmask = (1 << n_parent) - 1
     # the components M must meet, or None when no child is 2-connected
     comps = None
-    if n_parent >= 2 and flood(rows, 1, pmask) == pmask:
+    if n_parent >= 2 and is_connected_masked(rows, pmask):
         cut = _cut_vertices(rows, pmask)
         comps = [c for x in bits(cut) for c in component_masks(rows, pmask & ~(1 << x))]
     # the parent's induced cycles, or None when every child has a wheel

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations
 from typing import Iterator, Optional, Sequence, Union
 
 from .errors import (
@@ -42,14 +43,11 @@ SHORT_PYRAMID = "shortpyramid"
 def _canonical_chords(lengths: tuple[int, int, int], chords: frozenset[int]) -> frozenset[int]:
     """Push chord marks to the lowest indices within each equal-length run."""
     out: set[int] = set()
-    i = 0
-    while i < 3:
-        j = i
-        while j < 3 and lengths[j] == lengths[i]:
-            j += 1
-        hits = sum(1 for c in chords if i + 1 <= c <= j)
-        out.update(range(i + 1, i + 1 + hits))
-        i = j
+    for c in chords:
+        i = lengths.index(lengths[c - 1]) + 1  # the first index of c's run
+        while i in out:
+            i += 1
+        out.add(i)
     return frozenset(out)
 
 
@@ -214,28 +212,17 @@ def _length_triples(total: int) -> Iterator[tuple[int, int, int]]:
                 yield (l1, l2, l3)
 
 
-def _chord_masks(kind: str, lengths: tuple[int, int, int]) -> list[frozenset[int]]:
-    if kind == THETA:
-        return [frozenset(), frozenset({1})]
-    seen = []
-    for mask in range(8):
-        chords = frozenset(i + 1 for i in range(3) if mask >> i & 1)
-        canon = _canonical_chords(lengths, chords)
-        if canon not in seen:
-            seen.append(canon)
-    return sorted(seen, key=lambda c: (len(c), tuple(sorted(c))))
-
-
 @lru_cache(maxsize=None)
 def specs_with_vertex_count(n: int) -> tuple[ThreePcSpec, ...]:
     """All canonical specs on exactly n vertices, in canonical order."""
-    out = []
-    for kind in KIND_ORDER:
-        total = n - VERTEX_OFFSET[kind]
-        for lengths in _length_triples(total):
-            for chords in _chord_masks(kind, lengths):
-                out.append(ThreePcSpec(kind, lengths, chords))
-    return tuple(sorted(out, key=ThreePcSpec.sort_key))
+    specs = {
+        ThreePcSpec.of(kind, lengths, chords)
+        for kind in KIND_ORDER
+        for lengths in _length_triples(n - VERTEX_OFFSET[kind])
+        for k in range(2 if kind == THETA else 4)  # a theta takes at most one chord
+        for chords in combinations((1, 2, 3), k)
+    }
+    return tuple(sorted(specs, key=ThreePcSpec.sort_key))
 
 
 def all_specs_up_to(max_n: int) -> list[ThreePcSpec]:

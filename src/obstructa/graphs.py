@@ -212,14 +212,12 @@ def induced_rows(rows: Sequence[int], vertices: Sequence[int]) -> tuple[int, ...
     return tuple(out)
 
 
-def min_degree2_subsets(
-    rows: Sequence[int], lo: int, hi: int
-) -> Iterator[tuple[tuple[int, ...], int, int]]:
-    """(ascending vertex tuple, bitmask, branch mask) of every vertex subset
-    of ``lo`` to ``hi`` vertices whose induced subgraph has minimum degree
-    >= 2, in lexicographic order of the tuples, so a subset comes right
-    before its extensions.  The branch mask holds the subset's vertices with
-    >= 3 neighbours in it.
+def min_degree2_subsets(rows: Sequence[int], lo: int, hi: int) -> Iterator[tuple[int, int]]:
+    """(vertex mask, branch mask) of every vertex subset of ``lo`` to ``hi``
+    vertices whose induced subgraph has minimum degree >= 2, in
+    lexicographic order of the ascending vertex lists, so a subset comes
+    right before its extensions.  The branch mask holds the subset's
+    vertices with >= 3 neighbours in it.
 
     One depth-first walk picks vertices in ascending order and visits only
     prefixes that can still be completed within the window: every chosen
@@ -248,12 +246,11 @@ def min_degree2_subsets(
             up1 |= 1 << v
         if top2[v] > v:
             up2 |= 1 << v
-    # frames: (prefix, its mask, vertices with >= 1 / >= 2 / >= 3 neighbours
-    # in it, first candidate); children are pushed highest first
-    stack = [((), 0, 0, 0, 0, 0)]
+    # frames: (prefix size, its mask, vertices with >= 1 / >= 2 / >= 3
+    # neighbours in it, first candidate); children are pushed highest first
+    stack = [(0, 0, 0, 0, 0, 0)]
     while stack:
-        prefix, sub, ones, twos, threes, start = stack.pop()
-        d = len(prefix)
+        d, sub, ones, twos, threes, start = stack.pop()
         if d < lo:
             top = n - lo + d  # the highest next pick that leaves room for lo
             if start == top:
@@ -265,11 +262,11 @@ def min_degree2_subsets(
                     ones |= r
                 sub |= (1 << n) - (1 << start)
                 if not sub & ~twos:
-                    yield prefix + tuple(range(start, n)), sub, threes & sub
+                    yield sub, threes & sub
                 continue
         else:
             if not sub & ~twos:
-                yield prefix, sub, threes & sub
+                yield sub, threes & sub
             if d == hi:
                 continue
             top = n - 1
@@ -293,7 +290,7 @@ def min_degree2_subsets(
                 cand ^= 1 << w
                 r = rows[w]
                 stack.append(
-                    (prefix + (w,), sub | 1 << w, ones | r, twos | ones & r, threes | twos & r, w + 1)
+                    (d + 1, sub | 1 << w, ones | r, twos | ones & r, threes | twos & r, w + 1)
                 )
             continue
         # the last two picks: w, then every x above it that gives each short
@@ -309,7 +306,7 @@ def min_degree2_subsets(
             short = pick & ~twos_w
             if not short:
                 if d + 1 >= lo:
-                    yield prefix + (w,), pick, threes_w & pick
+                    yield pick, threes_w & pick
             elif short & ~ones_w:
                 continue
             last = twos_w >> w + 1 << w + 1
@@ -320,8 +317,7 @@ def min_degree2_subsets(
             while last:
                 x = last & -last
                 last ^= x
-                xv = x.bit_length() - 1
-                yield prefix + (w, xv), pick | x, (threes_w | twos_w & rows[xv]) & (pick | x)
+                yield pick | x, (threes_w | twos_w & rows[x.bit_length() - 1]) & (pick | x)
 
 
 def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, dict[int, int]]:
@@ -395,52 +391,50 @@ def is_connected_masked(rows: tuple[int, ...], within: int) -> bool:
 
 def _cut_vertices(rows: tuple[int, ...], within: int) -> int:
     """Bitmask of articulation vertices of the subgraph induced on ``within``
-    (union over its components), via lowpoint DFS."""
-    disc = [0] * len(rows)
-    low = [0] * len(rows)
+    (union over its components), via recursive lowpoint DFS (Hopcroft &
+    Tarjan, 1973) with depths in place of discovery times.  The recursion is
+    at most ``MAX_VERTICES`` deep."""
+    depth = [0] * len(rows)
     cut = 0
-    timer = 1
+
+    def low(v: int, parent: int, d: int) -> int:
+        # the least depth a back edge from v's subtree reaches; v splits off
+        # the subtree of each child that reaches no higher than v, and a
+        # root has no parent's side to split from
+        nonlocal cut
+        depth[v] = least = d
+        splits = 0
+        for w in bits(rows[v] & within):
+            if not depth[w]:
+                reach = low(w, v, d + 1)
+                if reach >= d:
+                    splits += 1
+                if reach < least:
+                    least = reach
+            elif w != parent and depth[w] < least:
+                least = depth[w]
+        if splits > (parent < 0):
+            cut |= 1 << v
+        return least
+
     for root in bits(within):
-        if disc[root]:
-            continue
-        # iterative DFS storing (vertex, parent, neighbor iterator)
-        stack = [(root, -1, bits(rows[root] & within))]
-        disc[root] = low[root] = timer
-        timer += 1
-        root_children = 0
-        while stack:
-            v, parent, it = stack[-1]
-            advanced = False
-            for w in it:
-                if not disc[w]:
-                    if v == root:
-                        root_children += 1
-                    disc[w] = low[w] = timer
-                    timer += 1
-                    stack.append((w, v, bits(rows[w] & within)))
-                    advanced = True
-                    break
-                elif w != parent and disc[w] < low[v]:
-                    low[v] = disc[w]
-            if not advanced:
-                stack.pop()
-                if stack:
-                    pv = stack[-1][0]
-                    if low[v] < low[pv]:
-                        low[pv] = low[v]
-                    if pv != root and low[v] >= disc[pv]:
-                        cut |= 1 << pv
-        if root_children >= 2:
-            cut |= 1 << root
+        if not depth[root]:
+            low(root, -1, 1)
     return cut
+
+
+def _two_connected(rows: tuple[int, ...], within: int) -> bool:
+    """:func:`is_two_connected` for the subgraph induced on ``within``."""
+    return (
+        within.bit_count() >= 3
+        and is_connected_masked(rows, within)
+        and not _cut_vertices(rows, within)
+    )
 
 
 def is_two_connected(g: Graph) -> bool:
     """2-connected means n >= 3, connected, and no cut vertex."""
-    if g.n < 3:
-        return False
-    full = g.vertex_mask
-    return is_connected_masked(g.rows, full) and not _cut_vertices(g.rows, full)
+    return _two_connected(g.rows, g.vertex_mask)
 
 
 @dataclass(frozen=True, slots=True)
@@ -453,13 +447,11 @@ class ConnectivityReport:
 
 def connectivity_report(g: Graph) -> ConnectivityReport:
     comps = component_masks(g.rows, g.vertex_mask)
-    cut = _cut_vertices(g.rows, g.vertex_mask)
-    connected = len(comps) <= 1
     return ConnectivityReport(
-        connected=connected,
+        connected=len(comps) <= 1,
         components=tuple(frozenset(bits(c)) for c in comps),
-        cut_vertices=frozenset(bits(cut)),
-        two_connected=g.n >= 3 and connected and cut == 0,
+        cut_vertices=frozenset(bits(_cut_vertices(g.rows, g.vertex_mask))),
+        two_connected=is_two_connected(g),
     )
 
 

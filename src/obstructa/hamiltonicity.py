@@ -27,9 +27,9 @@ from .graphs import (
     Certificate,
     Graph,
     _cut_vertices,
+    _two_connected,
     bits,
     flood,
-    is_connected_masked,
     min_degree2_subsets,
 )
 
@@ -193,7 +193,7 @@ def is_hc_obstruction(g: Graph) -> ObstructionVerdict:
     them.  A subset with no branch vertex is disjoint cycles, so Hamiltonian
     or disconnected, and is skipped; so is one no larger than the largest
     failing subset found so far.  Each subset tested meets the forced edges
-    first, then the connectivity and cut-vertex tests, and the search last.
+    first, then the one 2-connectivity test, and the search last.
     Each failure carries a witness: the least cut vertex, the Hamiltonian
     cycle, or the largest subset that breaks minimality, lexicographically
     first of its size (the walk meets each size in lexicographic order, and
@@ -201,26 +201,27 @@ def is_hc_obstruction(g: Graph) -> ObstructionVerdict:
     if g.n > OBSTRUCTION_MAX_VERTICES:
         raise TooLarge(f"obstruction check capped at {OBSTRUCTION_MAX_VERTICES} vertices")
     rows, full = g.rows, g.vertex_mask
-    cut = _cut_vertices(rows, full)
-    if g.n < 3 or cut or not is_connected_masked(rows, full):
+    if not _two_connected(rows, full):
+        cut = _cut_vertices(rows, full)
         witness = Certificate("CutVertex", ((cut & -cut).bit_length() - 1,)) if cut else None
         return ObstructionVerdict(False, "NotTwoConnected", witness)
     cycle = _cycle_search(rows, full)
     if cycle is not None:
         return ObstructionVerdict(False, "Hamiltonian", Certificate("HamCycle", cycle))
-    # each subset is read through its mask; a Hamiltonian one cannot break
-    # minimality, so a forced cycle skips the 2-connectivity tests
-    witness: tuple[int, ...] = ()
-    for subset, sub, branch in min_degree2_subsets(rows, 3, g.n - 1):
-        if not branch or len(subset) <= len(witness):
+    # a Hamiltonian subset cannot break minimality, so a forced cycle skips
+    # the 2-connectivity test
+    witness = 0
+    for sub, branch in min_degree2_subsets(rows, 3, g.n - 1):
+        if not branch or sub.bit_count() <= witness.bit_count():
             continue
         cycle = _forced_cycle(rows, sub)
-        if cycle or not is_connected_masked(rows, sub) or _cut_vertices(rows, sub):
+        if cycle or not _two_connected(rows, sub):
             continue
         if cycle is not None or _backtrack(rows, sub) is None:
-            witness = subset
-            if len(witness) == g.n - 1:
+            witness = sub
+            if witness.bit_count() == g.n - 1:
                 break
     if witness:
-        return ObstructionVerdict(False, "NonMinimal", Certificate("Embedding", witness))
+        embedding = Certificate("Embedding", tuple(bits(witness)))
+        return ObstructionVerdict(False, "NonMinimal", embedding)
     return ObstructionVerdict(True)

@@ -141,12 +141,12 @@ class TestInducedSubgraph:
                         branch = [v for v, r in zip(s, sub_rows) if r.bit_count() >= 3]
                         want.append((s, sum(1 << v for v in s), sum(1 << v for v in branch)))
             assert list(helpers.min_degree2_subsets_oracle(g.rows, sizes)) == want
-        # the pruned walk against the oracle: tuples, masks, branch masks and
-        # order, on every small class, sparse 3PCs and wheels where pruning
-        # cuts most, cliques where it cuts nothing, and random graphs in
-        # between.  Each one-size window walks the sizes one at a time, as
-        # the 3PC scan does; the whole window and the minimality check's
-        # window 3..n-1 are one lexicographic pass over all sizes
+        # the pruned walk against the oracle: masks, branch masks and order,
+        # on every small class, sparse 3PCs and wheels where pruning cuts
+        # most, cliques where it cuts nothing, and random graphs in between.
+        # Each one-size window walks the sizes one at a time, as the 3PC
+        # scan does; the whole window and the minimality check's window
+        # 3..n-1 are one lexicographic pass over all sizes
         graphs = [g for n in range(8) for g in atlas8[n]]
         graphs += [build_3pc(spec) for spec in all_specs_up_to(12)]
         graphs += [
@@ -159,11 +159,14 @@ class TestInducedSubgraph:
         ]
         for g in graphs:
             sizes = range(g.n + 2)  # size 0 and a size above n included
-            want = {k: list(helpers.min_degree2_subsets_oracle(g.rows, [k])) for k in sizes}
+            oracle = helpers.min_degree2_subsets_oracle
+            want = {k: [(sub, branch) for _, sub, branch in oracle(g.rows, [k])] for k in sizes}
             for k in sizes:
                 assert list(min_degree2_subsets(g.rows, k, k)) == want[k], (g, k)
             for lo, hi in [(0, g.n + 1), (3, g.n - 1)]:
-                window = sorted(s for k in range(lo, hi + 1) for s in want[k])
+                window = sorted(
+                    (s for k in range(lo, hi + 1) for s in want[k]), key=lambda s: list(bits(s[0]))
+                )
                 assert list(min_degree2_subsets(g.rows, lo, hi)) == window, (g, lo, hi)
 
 

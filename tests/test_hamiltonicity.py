@@ -15,6 +15,7 @@ from obstructa.families import (
 from obstructa import hamiltonicity
 from obstructa.graphs import (
     Certificate,
+    bits,
     decode_graph6,
     graph_from_edges,
     induced_subgraph,
@@ -208,7 +209,7 @@ class TestObstruction:
             return helpers.two_connected_brute(sub) and not helpers.ham_cycle_brute(sub)
 
         def met_before(g, witness):
-            walk = (s for s, _, _ in min_degree2_subsets(g.rows, 3, g.n - 1))
+            walk = (tuple(bits(s)) for s, _ in min_degree2_subsets(g.rows, 3, g.n - 1))
             return [s for s in iter(walk.__next__, witness) if failing(g, s)]
 
         g = decode_graph6("F?Fn_")
@@ -251,7 +252,7 @@ class TestObstruction:
         assert len(specs) == 134
         assert all(is_hc_obstruction(build_3pc(spec)).is_obstruction for spec in specs)
         assert len(walked) == 1969
-        assert sum(1 for _, _, branch in walked if branch) == len(forced) - len(specs) == 1321
+        assert sum(1 for _, branch in walked if branch) == len(forced) - len(specs) == 1321
 
     def test_too_large(self):
         with pytest.raises(TooLarge):
