@@ -5,11 +5,13 @@ Generation is canonical augmentation with canonical deletion (McKay,
 isomorphism class on n vertices.  Every graph of the level below (a parent)
 is extended by one neighbourhood bitmask of a new vertex per orbit of the
 parent's automorphism group, and only where the new vertex maximizes the
-vertex invariant (degree, sum of neighbour degrees) in the child.  Of the
-maximizers of a graph, the canonical one is the first in its canonical
-order (see :func:`obstructa.canon._canonical_search`); its orbit does not
-depend on the labeling.  A child is accepted exactly when its new vertex is
-in that orbit.  Most children decide it without a search, by the steps of
+vertex invariant (degree, sum of neighbour degrees, twice the number of
+edges among the neighbours) in the child; the third coordinate is read only
+when the first two tie.  Of the maximizers of a graph, the canonical one is
+the first in its canonical order (see
+:func:`obstructa.canon._canonical_search`); its orbit does not depend on
+the labeling.  A child is accepted exactly when its new vertex is in that
+orbit.  Most children decide it without a search, by the steps of
 :func:`_child_forms` and :func:`_decide_tie`, which say why each is exact.
 
 Each class is accepted exactly once:
@@ -61,7 +63,7 @@ from __future__ import annotations
 import os
 from dataclasses import asdict, dataclass, fields, replace
 from itertools import combinations
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from .canon import _canonical_search, _refine, canonical_rows, encode_form, graph_from_canonical
 from .errors import InvalidJobCount, TooLarge
@@ -105,10 +107,13 @@ def resolve_jobs(jobs: Optional[int] = None) -> int:
 def _map_chunks(fn: Callable, items: list, jobs: int) -> list:
     """``[fn(items[i::jobs]) for i in range(jobs)]`` across ``jobs``
     processes, or ``[fn(items)]`` in this process when there are at most
-    64 items per worker.  A pool round trip costs about 10 ms on 2 cores,
-    more than the whole stage below that size (the 34 parents of n = 6 take
-    16 ms to extend in one process) and less than half of it above (the
-    156 parents of n = 7 take 100 ms).  Generation concatenates the chunks'
+    64 items per worker.  On 2 cores an empty round trip through a fresh
+    2-worker pool costs about 10 ms, near the whole stage below that size
+    (the 34 parents of n = 6 take 12 ms to extend in one process).  Just
+    above it the pool breaks even: the 156 parents of n = 7 take 33-40 ms
+    in one process and 30-55 ms through the pool.  Well above it the pool
+    wins: the 1,044 parents of n = 8 take 0.28-0.36 s in one process and
+    0.20-0.30 s through the pool.  Generation concatenates the chunks'
     children, which are disjoint and together the children of one process,
     and :func:`_forms_for` sorts the labelings of its chunks, so chunk order
     changes neither.
@@ -184,68 +189,128 @@ def _child_forms(parents: list[tuple[tuple[int, ...], int]]) -> tuple[list[bytes
     has a higher degree than the new one.  A mask is skipped when it lies in
     the orbit of an earlier mask that passed, under the parent's
     automorphism generators, or when a vertex of degree ``d`` in its child
-    has a greater sum of neighbour degrees than the new vertex.  Both skips
-    treat all masks of one orbit alike: an automorphism of the parent,
-    extended to fix the new vertex, is an isomorphism between their
-    children.
+    beats the new vertex on (sum of neighbour degrees, twice the number of
+    edges among its neighbours).  Both skips treat all masks of one orbit
+    alike: an automorphism of the parent, extended to fix the new vertex,
+    is an isomorphism between their children.
 
-    Each parent keeps the neighbour-degree sum of every vertex.  In the
-    child the new vertex's sum is its neighbours' parent degrees plus ``d``,
-    and a rival's is its parent sum plus its neighbours in the mask, plus
-    ``d`` when it is in the mask itself.
+    Each parent keeps, for every vertex, its neighbour-degree sum and
+    ``tri``, twice the number of edges among its neighbours.  The vertices
+    below ``d`` are ``(bit, degree, row, index)`` tuples built once per
+    ``d``, so one pass over a combination gives the mask and the new
+    vertex's sum: its neighbours' parent degrees plus ``d``.  The rows
+    serve the triangle count when the sums tie and the indices the child of
+    a mask that passes; no list is built for a mask that does not.  The
+    inner loops are written out, since on Python 3.11 a comprehension is a
+    function call that costs more than their few steps.  A rival's sum is
+    its parent sum plus its neighbours in the mask, plus ``d`` when it is
+    in the mask itself.  The rivals come from one list built per ``d``: the
+    parent's vertices of degree ``d``, and those of degree ``d - 1``, which
+    are rivals only when in the mask.  Only when the sums tie are the
+    triangle counts read: the new vertex's is the sum over u in M of
+    |N(u) ∩ M|, and a rival w's is ``tri[w]`` plus ``2·|N(w) ∩ M|`` when w
+    is in M, since v is then a neighbour of w adjacent to exactly those.  A
+    rival with more rejects the mask, and one with fewer is no rival.  Orbit
+    images are masks too: each generator is kept as a few (shift, target)
+    pairs, one per distance its vertices move, so an image is a handful of
+    shifts and ands with no vertex list.
 
-    A child in which no rival ties the new vertex's sum is accepted as the
-    walk built it (P's vertices first, then v): v is the only maximizer of
-    the invariant, so it is the canonical one.  A child with a tie goes to
-    :func:`_decide_tie`; one that it labels keeps its canonical rows, marked
-    by ``CANONICAL`` in its facts byte.  The module docstring shows that
-    every class is accepted exactly once, so parents split across workers
-    give disjoint results.  A child's facts byte comes from
-    :func:`_extension_facts`.
+    A child in which no rival ties the new vertex on all three coordinates
+    is accepted as the walk built it (P's vertices first, then v): v is the
+    only maximizer of the invariant, so it is the canonical one.  A child
+    with a tie goes to :func:`_decide_tie`; one that it labels keeps its
+    canonical rows, marked by ``CANONICAL`` in its facts byte.  The module
+    docstring shows that every class is accepted exactly once, so parents
+    split across workers give disjoint results.  A child's facts byte comes
+    from :func:`_extension_facts`.
     """
     accepted: list[bytes] = []
     accepted_facts = bytearray()
     n_parent = len(parents[0][0]) if parents else 0
-    newbit = n_parent
     n = n_parent + 1
-    bit = [1 << u for u in range(n)]
+    vbit = 1 << n_parent
     for rows, facts in parents:
         deg = [r.bit_count() for r in rows]
-        nsum = [sum([deg[x] for x in bits(r)]) for r in rows]
-        gens = [(p, [1 << q for q in p]) for p in _canonical_search(n_parent, rows)[2]]
+        nsum = []
+        tri = []
+        for r in rows:
+            s = t = 0
+            for x in bits(r):
+                s += deg[x]
+                t += (rows[x] & r).bit_count()
+            nsum.append(s)
+            tri.append(t)
+        # each generator as its moves: (k, dst) takes the bits of a mask
+        # shifted up by n_parent to their images dst by shifting down by k
+        gens = []
+        for p in _canonical_search(n_parent, rows)[2]:
+            moves: dict[int, int] = {}
+            for u, q in enumerate(p):
+                moves[n_parent + u - q] = moves.get(n_parent + u - q, 0) | 1 << q
+            gens.append(list(moves.items()))
         facts_of = _extension_facts(rows, facts)
         done: set[int] = set()
         for d in range(max(deg, default=0), n):
-            below = [u for u in range(n_parent) if deg[u] < d]
-            tied = [(w, nsum[w]) for w in range(n_parent) if deg[w] == d]
-            for neighbours in combinations(below, d):
-                mask = sum(map(bit.__getitem__, neighbours))
+            below = [(1 << u, deg[u], rows[u], u) for u in range(n_parent) if deg[u] < d]
+            # the other vertices of degree d in the child: those of the
+            # parent's degree d, and those of degree d - 1 when in the mask
+            # (lifted), which then also neighbour the new vertex; each with
+            # its bit, whether it is lifted, its row, its child sum less its
+            # neighbours in the mask, and its parent triangle count
+            rivals_of_d = [
+                (1 << w, False, rows[w], nsum[w], tri[w]) for w in range(n_parent) if deg[w] == d
+            ] + [
+                (1 << w, True, rows[w], nsum[w] + d, tri[w])
+                for w in range(n_parent)
+                if deg[w] == d - 1
+            ]
+            for combo in combinations(below, d):
+                mask = 0
+                mine = d
+                for b, k, _, _ in combo:
+                    mask |= b
+                    mine += k
                 if mask in done:
                     continue
-                mine = sum(map(deg.__getitem__, neighbours)) + d
-                # the other vertices of degree d in the child: those of the
-                # parent's degree d, and the mask's vertices of degree d - 1,
-                # which also neighbour the new vertex; each is paired with
-                # its child sum less its neighbours in the mask
-                rivals: list[int] | None = []
-                for w, base in tied + [(u, nsum[u] + d) for u in neighbours if deg[u] == d - 1]:
-                    s = base + (rows[w] & mask).bit_count()
-                    if s > mine:
-                        rivals = None
-                        break
+                mine_tri = -1
+                rivals = 0
+                for wbit, lifted, row, base, t in rivals_of_d:
+                    if lifted and not mask & wbit:
+                        continue
+                    common = (row & mask).bit_count()
+                    s = base + common
+                    if s < mine:
+                        continue
                     if s == mine:
-                        rivals.append(w)
-                if rivals is None:
+                        if mine_tri < 0:
+                            mine_tri = 0
+                            for _, _, r, _ in combo:
+                                mine_tri += (r & mask).bit_count()
+                        t += 2 * common * lifted
+                        if t < mine_tri:
+                            continue
+                        if t == mine_tri:
+                            rivals |= wbit
+                            continue
+                    # w beats the new vertex
+                    rivals = -1
+                    break
+                if rivals < 0:
                     continue
-                orbit = [neighbours]
+                orbit = [mask]
                 done.add(mask)
                 for m in orbit:
-                    for p, pbit in gens:
-                        image = sum(map(pbit.__getitem__, m))
+                    m <<= n_parent
+                    for moves in gens:
+                        image = 0
+                        for k, dst in moves:
+                            image |= m >> k & dst
                         if image not in done:
                             done.add(image)
-                            orbit.append([p[u] for u in m])
-                child = [r | (mask >> i & 1) << newbit for i, r in enumerate(rows)]
+                            orbit.append(image)
+                child = list(rows)
+                for _, _, _, u in combo:
+                    child[u] |= vbit
                 child.append(mask)
                 kept = _decide_tie(n, child, rivals) if rivals else (child, 0)
                 if kept is not None:
@@ -255,20 +320,20 @@ def _child_forms(parents: list[tuple[tuple[int, ...], int]]) -> tuple[list[bytes
     return accepted, accepted_facts
 
 
-def _decide_tie(
-    n: int, child: list[int], rivals: list[int]
-) -> Optional[tuple[Sequence[int], int]]:
+def _decide_tie(n: int, child: list[int], rivals: int) -> Optional[tuple[Sequence[int], int]]:
     """Canonical deletion for a child whose new vertex v = n - 1 ties the
-    ``rivals`` on (degree, sum of neighbour degrees): None when v is not in
+    vertices of the mask ``rivals`` on (degree, sum of neighbour degrees,
+    twice the number of edges among the neighbours): None when v is not in
     the orbit of the canonical maximizer, else the rows to keep and the
     facts bit they carry, ``(child, 0)`` as built or ``(form, CANONICAL)``
-    when the child was labeled.  Steps, in order:
+    when the child was labeled.  The maximizers are v and the rivals.
+    Steps, in order:
 
     * twins: when every rival w is a twin of v (their rows agree outside
       {v, w}), every maximizer is in v's orbit: accept, with no refinement;
     * root cell: refine the unit partition once and take C, the first root
       cell holding a maximizer.  Reject when v is not in C, and accept when
-      every other vertex of C is a twin of v;
+      every other maximizer in C is a twin of v;
     * search: label the child from that root partition, and accept it when
       v is in the orbit of the first maximizer of the canonical order.
 
@@ -277,31 +342,33 @@ def _decide_tie(
     * a twin w of v gives the automorphism (v w), which puts w in v's orbit;
     * the canonical maximizer is in C.  Every leaf of the canonical search
       lists the root cells in their order, since individualizing a vertex
-      and refining split a cell in place.  A cell of an equitable partition
-      has one degree and one count against each cell, hence one
-      neighbour-degree sum, so it holds maximizers only, and the first
-      maximizer of the canonical order is in the first cell that has one.
-      The root partition is isomorphism-invariant, so each automorphism
-      orbit lies inside one cell: v outside C is not in the canonical
-      maximizer's orbit, and v in C whose cell-mates are its twins is.
+      and refining split a cell in place, so the first maximizer of the
+      canonical order is in the first cell that holds one.  A cell of an
+      equitable partition has one degree and one count against each cell,
+      hence one neighbour-degree sum, but not one count of edges among the
+      neighbours, so C can hold non-maximizers too; the twin test reads
+      only ``C & maximizers``, where the canonical maximizer is.  The root
+      partition is isomorphism-invariant, so each automorphism orbit lies
+      inside one cell: v outside C is not in the canonical maximizer's
+      orbit, and v in C whose fellow maximizers there are its twins is.
     """
     v = n - 1
     vbit = 1 << v
     mask = child[v]
 
-    def twins(ws: Iterable[int]) -> bool:
-        return all(child[w] & ~vbit == mask & ~(1 << w) for w in ws)
+    def twins(ws: int) -> bool:
+        return all(child[w] & ~vbit == mask & ~(1 << w) for w in bits(ws))
 
     if twins(rivals):
         return child, 0
     rows = tuple(child)
-    maximizers = sum(1 << w for w in rivals) | vbit
+    maximizers = rivals | vbit
     full = (1 << n) - 1
     root = _refine(n, rows, [full], [full])
-    cell = next(c for c in root if c & maximizers)
+    cell = next(c for c in root if c & maximizers) & maximizers
     if not cell & vbit:
         return None
-    if twins(bits(cell & ~vbit)):
+    if twins(cell & ~vbit):
         return child, 0
     form, _, gens, order = _canonical_search(n, rows, root)
     first = next(u for u in order if maximizers >> u & 1)

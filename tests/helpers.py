@@ -667,10 +667,22 @@ def group_order(n: int, gens: list[tuple[int, ...]]) -> int:
     return order
 
 
+def deletion_key(rows: tuple[int, ...], v: int) -> tuple[int, int, int]:
+    """Canonical deletion's invariant of v, read off the graph's own rows:
+    (degree, sum of neighbour degrees, twice the number of edges among the
+    neighbours), each neighbour pair counted from both ends."""
+    neighbours = list(bits(rows[v]))
+    return (
+        len(neighbours),
+        sum(rows[u].bit_count() for u in neighbours),
+        sum(1 for a in neighbours for b in neighbours if rows[a] >> b & 1),
+    )
+
+
 def labeled_masks_reference(n_parent: int, rows: tuple[int, ...], gens) -> list[int]:
     """Masks that pass ``_child_forms``'s rules and orbit skip for one
-    parent, in order: the rule (degree, sum of neighbour degrees) read off
-    each child's own rows, and orbits as vertex tuples."""
+    parent, in order: the rule on :func:`deletion_key` read off each
+    child's own rows, and orbits as vertex tuples."""
     n = n_parent + 1
     deg = [r.bit_count() for r in rows]
     done: set[tuple[int, ...]] = set()
@@ -682,10 +694,9 @@ def labeled_masks_reference(n_parent: int, rows: tuple[int, ...], gens) -> list[
                 continue
             mask = sum(1 << u for u in neighbours)
             child = [r | (mask >> i & 1) << n_parent for i, r in enumerate(rows)] + [mask]
-            cdeg = [r.bit_count() for r in child]
-            assert max(cdeg) == cdeg[n_parent] == d
-            nsum = [sum(cdeg[x] for x in bits(r)) for r in child]
-            if any(cdeg[w] == d and nsum[w] > nsum[n_parent] for w in range(n_parent)):
+            key = [deletion_key(tuple(child), w) for w in range(n)]
+            assert max(key)[0] == key[n_parent][0] == d
+            if max(key) > key[n_parent]:
                 continue
             orbit = [neighbours]
             done.add(neighbours)

@@ -36,10 +36,10 @@ KNOWN_TWO_CONNECTED = {1: 0, 2: 0, 3: 1, 4: 3, 5: 10, 6: 56, 7: 468, 8: 7123}
 
 def canonical_maximizer_orbit(n: int, rows: tuple[int, ...]) -> set[int]:
     """The automorphism orbit of the first vertex of the canonical order
-    that maximizes (degree, sum of neighbour degrees)."""
+    that maximizes (degree, sum of neighbour degrees, twice the number of
+    edges among the neighbours)."""
     _, _, gens, order = _canonical_search(n, rows)
-    deg = [r.bit_count() for r in rows]
-    key = [(deg[v], sum(deg[u] for u in graphs.bits(rows[v]))) for v in range(n)]
+    key = [helpers.deletion_key(rows, v) for v in range(n)]
     orbit = {next(v for v in order if key[v] == max(key))}
     while True:
         grown = orbit | {p[v] for p in gens for v in orbit}
@@ -91,20 +91,22 @@ class TestGeneration:
 
     def test_labelings_per_n(self, monkeypatch):
         # canonical deletion labels a child only when a rival ties its new
-        # vertex on (degree, sum of neighbour degrees) and neither twins nor
-        # the root equitable partition decide the tie: verify at n <= 8
-        # makes 2,616 searches, 1,253 of them one per parent for its
-        # automorphism generators, where labeling every tied child made
-        # 6,146 and labeling every child 15,908.  The sorted view labels
-        # once each class accepted without a search, so per n
-        # enumerate_graphs labels each class once plus each tied child the
-        # search rejects: 13,625 at n <= 8, no more than the 14,655 of
-        # labeling every tie, which labeled as many children as the
-        # seen-set did, one per automorphism orbit of masks where the new
-        # vertex maximizes the invariant.  A searched tie starts from the
+        # vertex on (degree, sum of neighbour degrees, twice the number of
+        # edges among the neighbours) and neither twins nor the root
+        # equitable partition decide the tie: verify at n <= 8 makes 2,574
+        # searches, 1,253 of them one per parent for its automorphism
+        # generators, where the invariant without its third coordinate made
+        # 2,616, labeling every tied child 6,146 and labeling every child
+        # 15,908.  The sorted view labels once each class accepted without a
+        # search, so per n enumerate_graphs labels each class once plus each
+        # tied child the search rejects: 13,600 at n <= 8 (13,625 without
+        # the third coordinate), no more than the 14,655 of labeling every
+        # tie, which labeled as many children as the seen-set did, one per
+        # automorphism orbit of masks where the new vertex maximizes
+        # (degree, sum of neighbour degrees).  A searched tie starts from the
         # root partition its root-cell step refined, so verify refines
-        # 12,374 partitions, 1,363 fewer than when each of those searches
-        # refined its own root
+        # 10,849 partitions, against 12,374 without the third coordinate and
+        # 13,737 when each search refined its own root
         sizes = []
         refined = []
         search = enumeration._canonical_search
@@ -124,12 +126,12 @@ class TestGeneration:
         monkeypatch.setattr(canon, "_refine", counting_refine)
         monkeypatch.setattr(enumeration, "_atlas", {0: enumeration._atlas[0]})
         assert verify_main_theorem(8, jobs=1).counterexamples == ()
-        assert len(refined) == 12374
+        assert len(refined) == 10849
         # the searches on n vertices: the parents of n + 1 vertices, and the
         # tied children on n vertices that go to the search
         per_size = collections.Counter(sizes)
-        assert [per_size[n] for n in range(9)] == [1, 1, 2, 4, 14, 40, 193, 1195, 1166]
-        assert len(sizes) == 2616
+        assert [per_size[n] for n in range(9)] == [1, 1, 2, 4, 14, 40, 193, 1189, 1130]
+        assert len(sizes) == 2574
         assert sum(KNOWN_CLASS_COUNTS[n] for n in range(8)) == 1253
         monkeypatch.setattr(enumeration, "_atlas", {0: enumeration._atlas[0]})
         per_n = []
@@ -137,16 +139,16 @@ class TestGeneration:
             sizes.clear()
             assert sum(1 for _ in enumerate_graphs(n, jobs=1)) == KNOWN_CLASS_COUNTS[n]
             per_n.append(sizes.count(n))
-        assert per_n == [1, 2, 4, 11, 34, 156, 1046, 12371]
+        assert per_n == [1, 2, 4, 11, 34, 156, 1044, 12348]
         assert all(a <= b for a, b in zip(per_n, [1, 2, 4, 11, 34, 159, 1096, 13348]))
 
     def test_neighbour_degree_sum_rule_matches_child_reference(self, atlas8, monkeypatch):
-        # the sum rule on per-parent sums and the bitmask orbits pass the
-        # same masks in the same order as the sums read off each child's rows
-        # and vertex-tuple orbits, on every parent with n <= 7.  A stand-in
-        # tie decision keeps each tied child as built, so every mask that
-        # passes is accepted, with or without a tie, as the last row of its
-        # child
+        # the rule on per-parent sums and triangle counts and the bitmask
+        # orbits pass the same masks in the same order as the key read off
+        # each child's rows and vertex-tuple orbits, on every parent with
+        # n <= 7.  A stand-in tie decision keeps each tied child as built,
+        # so every mask that passes is accepted, with or without a tie, as
+        # the last row of its child
         monkeypatch.setattr(enumeration, "_decide_tie", lambda n, child, rivals: (child, 0))
         for n in range(min(7, max(atlas8)) + 1):
             for g in atlas8[n]:
@@ -160,7 +162,8 @@ class TestGeneration:
         # non-isomorphic and one per class (A000088); a child accepted after
         # a search keeps its canonical rows, and in one accepted without a
         # search the new vertex is in the orbit of the first maximizer of
-        # (degree, sum of neighbour degrees) in the child's canonical order;
+        # (degree, sum of neighbour degrees, twice the number of edges among
+        # the neighbours) in the child's canonical order;
         # the two halves of a strided jobs=2 split of the n = 7 parents
         # accept disjoint sets of classes
         monkeypatch.setattr(enumeration, "_atlas", {0: enumeration._atlas[0]})
@@ -183,9 +186,10 @@ class TestGeneration:
     def test_tie_decision_matches_the_search(self, monkeypatch):
         # on every tied child at n <= 8, the twin and root-cell steps give
         # the verdict of the full search: accept exactly when the new vertex
-        # is in the orbit of the first maximizer of the canonical order.
-        # Per n, the ties end in a twin accept, a root-cell accept or
-        # reject, or a search
+        # is in the orbit of the first maximizer of the canonical order, on
+        # the three-coordinate key read off the child's own rows.  Per n,
+        # the ties end in a twin accept, a root-cell accept or reject, or a
+        # search
         calls = collections.Counter()
         ties = []
         real = {name: getattr(enumeration, name) for name in ("_refine", "_canonical_search")}
@@ -227,11 +231,43 @@ class TestGeneration:
             3: [3, 0, 0, 0],
             4: [5, 0, 0, 3],
             5: [13, 0, 0, 6],
-            6: [40, 3, 3, 37],
-            7: [190, 35, 50, 151],
-            8: [1386, 823, 977, 1166],
+            6: [42, 1, 1, 37],
+            7: [207, 12, 20, 145],
+            8: [1493, 369, 426, 1130],
         }
-        assert sum(got[8]) == 4352
+        # without the third coordinate: 4,352 ties at n = 8, of which 1,386
+        # twin, 823 cell accept, 977 cell reject and 1,166 search
+        assert sum(got[8]) == 3418
+
+    def test_root_cell_twin_test_reads_only_maximizers(self, monkeypatch):
+        # a child on 12 vertices, one of degree 2 and the rest of degree 4,
+        # whose new vertex 11 ties the rivals 7 and 10 on (degree, sum of
+        # neighbour degrees, twice the number of edges among the neighbours)
+        # = (4, 16, 4), neither of them its twin.  The first root cell that
+        # holds a maximizer is {2, 8, 9, 11}, where 2 and 8 score 2 and 9
+        # scores 0 on the third coordinate, so 11 is the only maximizer in
+        # it: the root-cell step accepts, with no search, as the search does.
+        # No tied child at n <= 8 has a non-maximizer in that cell
+        edges = [(0, 2), (0, 8), (0, 9), (0, 11), (1, 4), (1, 8), (1, 9), (1, 10)]
+        edges += [(2, 4), (2, 5), (2, 10), (3, 6), (3, 7), (3, 8), (3, 11), (4, 7)]
+        edges += [(4, 11), (5, 6), (5, 9), (5, 10), (7, 9), (7, 11), (8, 10)]
+        rows = graph_from_edges(12, edges).rows
+        key = [helpers.deletion_key(rows, v) for v in range(12)]
+        assert [v for v in range(12) if key[v] == max(key)] == [7, 10, 11]
+        assert [key[v][2] for v in (2, 8, 9)] == [2, 2, 0]
+        full = (1 << 12) - 1
+        root = canon._refine(12, rows, [full], [full])
+        cells = [list(graphs.bits(c)) for c in root]
+        assert cells == [[6], [2, 8, 9, 11], [7, 10], [1, 4], [0], [3, 5]]
+        assert 11 in canonical_maximizer_orbit(12, rows)
+        searched = []
+        search = enumeration._canonical_search
+        monkeypatch.setattr(
+            enumeration, "_canonical_search", lambda *args: searched.append(args) or search(*args)
+        )
+        child = list(rows)
+        assert enumeration._decide_tie(12, child, 1 << 7 | 1 << 10) == (child, 0)
+        assert searched == []
 
     def test_facts_match_direct_tests(self, atlas8):
         # the facts generation decides from each parent equal the direct
