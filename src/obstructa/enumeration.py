@@ -108,12 +108,13 @@ def _map_chunks(fn: Callable, items: list, jobs: int) -> list:
     """``[fn(items[i::jobs]) for i in range(jobs)]`` across ``jobs``
     processes, or ``[fn(items)]`` in this process when there are at most
     64 items per worker.  On 2 cores an empty round trip through a fresh
-    2-worker pool costs about 10 ms, near the whole stage below that size
-    (the 34 parents of n = 6 take 12 ms to extend in one process).  Just
-    above it the pool breaks even: the 156 parents of n = 7 take 33-40 ms
-    in one process and 30-55 ms through the pool.  Well above it the pool
-    wins: the 1,044 parents of n = 8 take 0.28-0.36 s in one process and
-    0.20-0.30 s through the pool.  Generation concatenates the chunks'
+    2-worker pool costs 4-11 ms, about the whole stage below that size (the
+    34 parents of n = 6 take 5-12 ms to extend in one process).  Just above
+    it the pool about breaks even: the 156 parents of n = 7 take 28-40 ms
+    in one process and 22-55 ms through the pool.  Well above it the pool
+    wins: the 1,044 parents of n = 8 take 0.24-0.36 s in one process and
+    0.13-0.30 s through it.  (Each range spans phases in which the shared
+    host ran up to twice as fast.)  Generation concatenates the chunks'
     children, which are disjoint and together the children of one process,
     and :func:`_forms_for` sorts the labelings of its chunks, so chunk order
     changes neither.
