@@ -14,17 +14,6 @@ from typing import NoReturn, Optional
 import click
 
 from . import enumeration
-from .decompose import (
-    find_proper_2_cutset,
-    find_special_edges,
-    has_k4_minor,
-    is_chordless,
-    is_two_sparse,
-    recognize_line_graph,
-    reduce_adjacent_degree2,
-    reduce_special_edges,
-    triangle_free,
-)
 from .detectors import classify
 from .canon import are_isomorphic
 from .errors import (
@@ -155,6 +144,19 @@ def ham(graph: Optional[str], input_file: Optional[str], want_path: bool) -> Non
 @click.option("--input", "input_file", type=click.Path())
 def decompose(graph: Optional[str], input_file: Optional[str]) -> None:
     """Trace the structural pipeline; emits a JSON array of step records."""
+    # imported here, since no other command uses it
+    from .decompose import (
+        find_proper_2_cutset,
+        find_special_edges,
+        has_k4_minor,
+        is_chordless,
+        is_two_sparse,
+        recognize_line_graph,
+        reduce_adjacent_degree2,
+        reduce_special_edges,
+        triangle_free,
+    )
+
     g = _load_graph(graph, input_file)
     if g.n > DECOMPOSE_MAX_VERTICES:
         _fail(EXIT_TOO_LARGE, f"decompose capped at {DECOMPOSE_MAX_VERTICES} vertices")

@@ -37,6 +37,18 @@ from its parent and the new vertex's mask when it is accepted, and kept
 with the level; :func:`_extension_facts` states both rules and why they are
 exact.
 
+The census's largest level, when no earlier call cached it, is walked as a
+last level: it is never a parent, so it keeps no graph and no facts byte,
+and it is not cached.  It takes the same masks and accepts the same
+children, since every mask still passes the degree rule, the
+neighbour-degree and triangle rule, the orbit skip and the tie decision;
+only the work after acceptance changes.  Each accepted child is counted,
+then tested for 2-connectivity, and only a 2-connected child of a
+wheel-free parent gets the wheel tests; only the wheel-free 2-connected
+children are kept.  The row counts every class, counts the 2-connected
+ones and reads only the graphs it keeps, and the same rules decide them,
+so the row is the one the full level gives.
+
 The census verifies the main characterization through two checks per n:
 
 * (a) every wheel-free 2-connected class with no induced 3PC has a
@@ -62,10 +74,18 @@ from __future__ import annotations
 
 import os
 from dataclasses import asdict, dataclass, fields, replace
+from functools import partial
 from itertools import combinations
 from typing import Callable, Iterator, Optional, Sequence
 
-from .canon import _canonical_search, _refine, canonical_rows, encode_form, graph_from_canonical
+from .canon import (
+    _canonical_search,
+    _refine,
+    _twin_classes,
+    canonical_rows,
+    encode_form,
+    graph_from_canonical,
+)
 from .errors import InvalidJobCount, TooLarge
 from .families import build_3pc, specs_with_vertex_count
 from .graphs import Graph, _cut_vertices, bits, component_masks, encode_graph6, is_connected_masked
@@ -116,12 +136,12 @@ def _map_chunks(fn: Callable, items: list, jobs: int) -> list:
     0.13-0.30 s through it.  (Each range spans phases in which the shared
     host ran up to twice as fast.)  Generation concatenates the chunks'
     children, which are disjoint and together the children of one process,
-    and :func:`_forms_for` sorts the labelings of its chunks, so chunk order
-    changes neither.
+    a last level adds up their counts, and :func:`_forms_for` sorts the
+    labelings of its chunks, so chunk order changes none of them.
 
     Each call's pool starts its workers with the platform's default
-    method.  Only module-level functions and picklable arguments cross it,
-    so ``fork`` and ``spawn`` compute the same results.
+    method.  Only module-level functions, partials of them and picklable
+    arguments cross it, so ``fork`` and ``spawn`` compute the same results.
     """
     if jobs == 1 or len(items) <= 64 * jobs:
         return [fn(items)]
@@ -131,11 +151,17 @@ def _map_chunks(fn: Callable, items: list, jobs: int) -> list:
         return pool.map(fn, [items[i::jobs] for i in range(jobs)])
 
 
-def _extension_facts(rows: tuple[int, ...], facts: int) -> Callable[[int, list[int]], int]:
-    """For a parent P with these rows and facts byte, the facts byte of the
-    child G = P + v as a function of v's neighbour mask M and the child's
-    rows (P's vertices first, then v).  The cut-vertex components and the
-    induced cycles of P are found once.  Both rules are exact:
+def _extension_facts(
+    rows: tuple[int, ...], facts: int
+) -> tuple[Callable[[int], bool], Callable[[int], bool]]:
+    """For a parent P with these rows and facts byte, two tests on the
+    neighbour mask M of a new vertex v: whether the child G = P + v is
+    2-connected, and whether v is no hub of a wheel of G while P is
+    wheel-free.  G is then wheel-free exactly when also
+    ``find_wheel_through(child, n_parent, pmask)`` finds no wheel on G's
+    rows (P's vertices first, then v) with ``pmask`` the vertices of P.
+    The cut-vertex components and the induced cycles of P are found once.
+    Both rules are exact:
 
     * G is 2-connected exactly when it has n >= 3 vertices, P is connected,
       |M| >= 2, and M meets every component of P - c for every cut vertex c
@@ -166,23 +192,24 @@ def _extension_facts(rows: tuple[int, ...], facts: int) -> Callable[[int, list[i
             for _, rim in induced_cycles(rows, a, pmask & ~((2 << a) - 1))
         ]
 
-    def facts_of(mask: int, child: list[int]) -> int:
-        two_connected = comps is not None and mask.bit_count() >= 2 and all(mask & c for c in comps)
-        wheel_free = (
-            cycles is not None
-            and all((mask & c).bit_count() < 3 for c in cycles)
-            and find_wheel_through(child, n_parent, pmask) is None
-        )
-        return two_connected * TWO_CONNECTED | wheel_free * WHEEL_FREE
+    def two_connected(mask: int) -> bool:
+        return comps is not None and mask.bit_count() >= 2 and all(mask & c for c in comps)
 
-    return facts_of
+    def hub_free(mask: int) -> bool:
+        return cycles is not None and all((mask & c).bit_count() < 3 for c in cycles)
+
+    return two_connected, hub_free
 
 
-def _child_forms(parents: list[tuple[tuple[int, ...], int]]) -> tuple[list[bytes], bytearray]:
+def _child_forms(
+    parents: list[tuple[tuple[int, ...], int]], last: bool = False
+) -> tuple[list[bytes], bytearray] | tuple[int, int, list[bytes]]:
     """The one-vertex extensions of the given parents (rows and facts byte,
     all of one size, one per class) that canonical deletion accepts, as
     packed rows (:func:`obstructa.canon.encode_form`) and one facts byte
-    each, in walk order.
+    each, in walk order; with ``last``, only their number, the number of
+    2-connected ones and the packed rows of the wheel-free 2-connected
+    ones.
 
     For each degree ``d`` from the parent's maximum degree to ``n_parent``,
     the walk takes every ``d``-subset of the vertices of degree below ``d``:
@@ -223,10 +250,18 @@ def _child_forms(parents: list[tuple[tuple[int, ...], int]]) -> tuple[list[bytes
     canonical rows, marked by ``CANONICAL`` in its facts byte.  The module
     docstring shows that every class is accepted exactly once, so parents
     split across workers give disjoint results.  A child's facts byte comes
-    from :func:`_extension_facts`.
+    from :func:`_extension_facts` and :func:`obstructa.detectors.find_wheel_through`.
+
+    ``last`` is for a level that is never a parent, and changes only the
+    work done on a child once it is accepted: the 2-connectivity test from
+    the mask, then, for a 2-connected child of a wheel-free parent, the
+    hub test, then the rim test, which alone needs the child's rows; so
+    only a tie or a rim test builds them.  Only the wheel-free 2-connected
+    children are packed.
     """
     accepted: list[bytes] = []
     accepted_facts = bytearray()
+    classes = two_connected_classes = 0
     n_parent = len(parents[0][0]) if parents else 0
     n = n_parent + 1
     vbit = 1 << n_parent
@@ -244,12 +279,12 @@ def _child_forms(parents: list[tuple[tuple[int, ...], int]]) -> tuple[list[bytes
         # each generator as its moves: (k, dst) takes the bits of a mask
         # shifted up by n_parent to their images dst by shifting down by k
         gens = []
-        for p in _canonical_search(n_parent, rows)[2]:
+        for p in _parent_generators(n_parent, rows):
             moves: dict[int, int] = {}
             for u, q in enumerate(p):
                 moves[n_parent + u - q] = moves.get(n_parent + u - q, 0) | 1 << q
             gens.append(list(moves.items()))
-        facts_of = _extension_facts(rows, facts)
+        two_connected, hub_free = _extension_facts(rows, facts)
         done: set[int] = set()
         for d in range(max(deg, default=0), n):
             below = [(1 << u, deg[u], rows[u], u) for u in range(n_parent) if deg[u] < d]
@@ -309,6 +344,21 @@ def _child_forms(parents: list[tuple[tuple[int, ...], int]]) -> tuple[list[bytes
                         if image not in done:
                             done.add(image)
                             orbit.append(image)
+                if last:
+                    child = None
+                    if rivals:
+                        child = _grow(rows, mask)
+                        if _decide_tie(n, child, rivals) is None:
+                            continue
+                    classes += 1
+                    if not two_connected(mask):
+                        continue
+                    two_connected_classes += 1
+                    if hub_free(mask):
+                        child = child or _grow(rows, mask)
+                        if not find_wheel_through(child, n_parent, vbit - 1):
+                            accepted.append(encode_form(n, child))
+                    continue
                 child = list(rows)
                 for _, _, _, u in combo:
                     child[u] |= vbit
@@ -316,9 +366,48 @@ def _child_forms(parents: list[tuple[tuple[int, ...], int]]) -> tuple[list[bytes
                 kept = _decide_tie(n, child, rivals) if rivals else (child, 0)
                 if kept is not None:
                     form, labeled = kept
+                    wheel_free = hub_free(mask) and not find_wheel_through(child, n_parent, vbit - 1)
                     accepted.append(encode_form(n, form))
-                    accepted_facts.append(facts_of(mask, child) | labeled)
+                    accepted_facts.append(
+                        two_connected(mask) * TWO_CONNECTED | wheel_free * WHEEL_FREE | labeled
+                    )
+    if last:
+        return classes, two_connected_classes, accepted
     return accepted, accepted_facts
+
+
+def _grow(rows: tuple[int, ...], mask: int) -> list[int]:
+    """The rows of a parent plus a new vertex with neighbour mask ``mask``:
+    the parent's vertices first, then the new one."""
+    vbit = 1 << len(rows)
+    child = [r | vbit if mask >> u & 1 else r for u, r in enumerate(rows)]
+    child.append(mask)
+    return child
+
+
+def _parent_generators(n: int, rows: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """Generators of the automorphism group of a parent, as permutation
+    tuples.  Every automorphism fixes each cell of the root equitable
+    partition, and any permutation of a twin class is an automorphism, so
+    when every cell of more than one vertex is one twin class the group is
+    the product of the symmetric groups on those cells, generated by the
+    transpositions :func:`obstructa.canon._twin_classes` records (none when
+    the partition is discrete).  Only the other parents are searched, from
+    that root partition."""
+    if n < 2:
+        return []
+    full = (1 << n) - 1
+    root = _refine(n, rows, [full], [full])
+    merges: set[tuple[int, int]] = set()
+    for c in root:
+        if c & (c - 1) and len(_twin_classes(rows, list(bits(c)), merges)) > 1:
+            return _canonical_search(n, rows, root)[2]
+    gens = []
+    for u, v in sorted(merges):
+        perm = list(range(n))
+        perm[u], perm[v] = v, u
+        gens.append(tuple(perm))
+    return gens
 
 
 def _decide_tie(n: int, child: list[int], rivals: int) -> Optional[tuple[Sequence[int], int]]:
@@ -389,17 +478,39 @@ def _in_orbit(gens: list[tuple[int, ...]], u: int, v: int) -> bool:
     return v in orbit
 
 
+def _children(n: int, jobs: int, last: bool = False) -> list:
+    """The chunks of :func:`_child_forms` over the classes on ``n - 1``
+    vertices."""
+    parents = [(graph_from_canonical(r).rows, x) for r, x in zip(*_level(n - 1, jobs))]
+    return _map_chunks(partial(_child_forms, last=last), parents, jobs)
+
+
 def _level(n: int, jobs: int = 1) -> tuple[tuple[bytes, ...], bytes]:
     """One graph per class on ``n`` vertices, as packed rows, and one facts
     byte per graph: the sorted canonical view once :func:`_forms_for` has
     made it, else the children generation accepted, in generation order."""
     if n not in _atlas:
-        parents = [(graph_from_canonical(r).rows, x) for r, x in zip(*_level(n - 1, jobs))]
-        chunks = _map_chunks(_child_forms, parents, jobs)
+        chunks = _children(n, jobs)
         rows = tuple(r for chunk, _ in chunks for r in chunk)
         _atlas[n] = rows, b"".join(facts for _, facts in chunks), False
     rows, facts, _ = _atlas[n]
     return rows, facts
+
+
+def _census_level(n: int, jobs: int, last: bool) -> tuple[int, int, list[bytes]]:
+    """The number of classes on ``n`` vertices, the number of 2-connected
+    ones, and one graph per wheel-free 2-connected class as packed rows.
+    A ``last`` level that is not cached is walked with ``last`` set, and
+    not cached (see the module docstring); any other is read from
+    :func:`_level`."""
+    if last and n not in _atlas:
+        chunks = _children(n, jobs, last=True)
+        kept = [r for _, _, rows in chunks for r in rows]
+        return sum(c[0] for c in chunks), sum(c[1] for c in chunks), kept
+    level, facts = _level(n, jobs)
+    both = TWO_CONNECTED | WHEEL_FREE
+    kept = [r for r, x in zip(level, facts) if x & both == both]
+    return len(level), sum(1 for x in facts if x & TWO_CONNECTED), kept
 
 
 def _label(graphs: list[tuple[bytes, int]]) -> list[tuple[bytes, int]]:
@@ -534,16 +645,18 @@ def verify_main_theorem(max_n: int, jobs: Optional[int] = None) -> CensusReport:
     wheel-free 2-connected class with no induced 3PC and no Hamiltonian
     cycle (check (a)), and each wheel-free 3PC spec that is no
     HC-obstruction (check (b)).  The classes come from the facts bytes of
-    each level as generation left it; none is tested for 2-connectivity or
-    wheels, and only counterexamples are labeled."""
+    each level as generation left it, except level ``max_n`` when it is not
+    cached: that one is walked as a last level, which counts its classes
+    and keeps only the wheel-free 2-connected ones, and it stays uncached.
+    No class is tested for 2-connectivity or wheels apart from generation's
+    rules, and only counterexamples are labeled."""
     _check_vertex_count(max_n, "verification")
     jobs = resolve_jobs(jobs)
     rows = []
     counterexamples: set[str] = set()
-    both = TWO_CONNECTED | WHEEL_FREE
     for n in range(1, max_n + 1):
-        level, facts = _level(n, jobs)
-        classes = [graph_from_canonical(r) for r, x in zip(level, facts) if x & both == both]
+        count, two_connected, kept = _census_level(n, jobs, n == max_n)
+        classes = [graph_from_canonical(r) for r in kept]
         free = [g for g in classes if find_induced_3pc(g) is None]
         non_hamiltonian = [g for g in free if not find_hamiltonian_cycle(g).found]
         counterexamples.update(map(_canonical_graph6, non_hamiltonian))
@@ -552,8 +665,8 @@ def verify_main_theorem(max_n: int, jobs: Optional[int] = None) -> CensusReport:
         rows.append(
             CensusRow(
                 n=n,
-                all=len(level),
-                two_connected=sum(1 for x in facts if x & TWO_CONNECTED),
+                all=count,
+                two_connected=two_connected,
                 wheel_free_2conn=len(classes),
                 three_pc_free_among_those=len(free),
                 hamiltonian_among_those=len(free) - len(non_hamiltonian),

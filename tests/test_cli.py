@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 from click.testing import CliRunner
 
 import helpers
+import obstructa
 from obstructa.cli import main
 from obstructa.graphs import decode_graph6, encode_graph6
 
@@ -57,6 +61,31 @@ class TestCheck:
         res = run("check", "--input", str(path))
         assert res.exit_code == 0
         assert json.loads(res.output)["two_connected"] is True
+
+
+    def test_check_does_not_import_decompose(self):
+        # a cold check process imports no module it does not call: the
+        # decompose command imports obstructa.decompose itself
+        src = os.path.dirname(os.path.dirname(obstructa.__file__))
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        code = (
+            "import runpy, sys\n"
+            "try:\n"
+            "    runpy.run_module('obstructa.cli', run_name='__main__', alter_sys=True)\n"
+            "except SystemExit as exc:\n"
+            "    assert not exc.code, exc.code\n"
+            "print('obstructa.decompose' in sys.modules)\n"
+        )
+        for command, imported in (("check", "False"), ("decompose", "True")):
+            run = subprocess.run(
+                [sys.executable, "-c", code, command, "theta:2,2,2"],
+                capture_output=True,
+                text=True,
+                env={**os.environ, "PYTHONPATH": path},
+                timeout=60,
+                check=True,
+            )
+            assert run.stdout.splitlines()[-1] == imported, command
 
 
 class TestGen:

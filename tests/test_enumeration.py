@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import networkx as nx
 import pytest
@@ -18,7 +19,7 @@ from obstructa.canon import (
     graph_from_canonical,
 )
 from obstructa.cli import EXIT_COUNTEREXAMPLE, main
-from obstructa.detectors import classify, find_induced_3pc, find_induced_wheel
+from obstructa.detectors import classify, find_induced_3pc, find_induced_wheel, find_wheel_through
 from obstructa.enumeration import (
     CensusReport,
     census,
@@ -32,6 +33,7 @@ from obstructa.hamiltonicity import HamResult, ObstructionVerdict
 
 KNOWN_CLASS_COUNTS = {0: 1, 1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044, 8: 12346}
 KNOWN_TWO_CONNECTED = {1: 0, 2: 0, 3: 1, 4: 3, 5: 10, 6: 56, 7: 468, 8: 7123}
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def canonical_maximizer_orbit(n: int, rows: tuple[int, ...]) -> set[int]:
@@ -93,9 +95,11 @@ class TestGeneration:
         # canonical deletion labels a child only when a rival ties its new
         # vertex on (degree, sum of neighbour degrees, twice the number of
         # edges among the neighbours) and neither twins nor the root
-        # equitable partition decide the tie: verify at n <= 8 makes 2,574
-        # searches, 1,253 of them one per parent for its automorphism
-        # generators, where the invariant without its third coordinate made
+        # equitable partition decide the tie, and a parent only when some
+        # cell of its root partition is not one twin class: verify at
+        # n <= 8 makes 1,750 searches, 429 of them for the automorphism
+        # generators of a parent, where searching each of the 1,253
+        # parents made 2,574, the invariant without its third coordinate
         # 2,616, labeling every tied child 6,146 and labeling every child
         # 15,908.  The sorted view labels once each class accepted without a
         # search, so per n enumerate_graphs labels each class once plus each
@@ -103,10 +107,11 @@ class TestGeneration:
         # the third coordinate), no more than the 14,655 of labeling every
         # tie, which labeled as many children as the seen-set did, one per
         # automorphism orbit of masks where the new vertex maximizes
-        # (degree, sum of neighbour degrees).  A searched tie starts from the
-        # root partition its root-cell step refined, so verify refines
-        # 10,849 partitions, against 12,374 without the third coordinate and
-        # 13,737 when each search refined its own root
+        # (degree, sum of neighbour degrees).  A searched tie or parent starts
+        # from the root partition refined before it, so verify refines
+        # 10,144 partitions, against 10,849 when every parent was searched,
+        # 12,374 without the third coordinate and 13,737 when each search
+        # refined its own root
         sizes = []
         refined = []
         search = enumeration._canonical_search
@@ -126,13 +131,16 @@ class TestGeneration:
         monkeypatch.setattr(canon, "_refine", counting_refine)
         monkeypatch.setattr(enumeration, "_atlas", {0: enumeration._atlas[0]})
         assert verify_main_theorem(8, jobs=1).counterexamples == ()
-        assert len(refined) == 10849
-        # the searches on n vertices: the parents of n + 1 vertices, and the
-        # tied children on n vertices that go to the search
+        assert len(refined) == 10144
+        # the searches on n vertices: the parents of n + 1 vertices whose
+        # root partition does not settle their group, and the tied children
+        # on n vertices that go to the search
         per_size = collections.Counter(sizes)
-        assert [per_size[n] for n in range(9)] == [1, 1, 2, 4, 14, 40, 193, 1189, 1130]
-        assert len(sizes) == 2574
-        assert sum(KNOWN_CLASS_COUNTS[n] for n in range(8)) == 1253
+        assert [per_size[n] for n in range(9)] == [0, 0, 0, 0, 6, 16, 97, 501, 1130]
+        assert len(sizes) == 1750
+        # less the tied children searched at n = 4..8, as pinned in
+        # test_tie_decision_matches_the_search
+        assert len(sizes) - sum([3, 6, 37, 145, 1130]) == 429
         monkeypatch.setattr(enumeration, "_atlas", {0: enumeration._atlas[0]})
         per_n = []
         for n in range(1, 9):
@@ -288,15 +296,99 @@ class TestGeneration:
         # has the maximum degree), so only these cases test |M| >= 2
         for n in range(min(7, max(atlas8) + 1)):
             for g, x in zip(atlas8[n], enumeration._forms_for(n)[1]):
-                facts_of = enumeration._extension_facts(g.rows, x)
+                two_connected, hub_free = enumeration._extension_facts(g.rows, x)
                 for mask in range(1 << n):
                     child = [r | (mask >> i & 1) << n for i, r in enumerate(g.rows)] + [mask]
+                    assert enumeration._grow(g.rows, mask) == child
                     h = Graph(n + 1, tuple(child))
-                    want = (
-                        is_two_connected(h) * enumeration.TWO_CONNECTED
-                        | (find_induced_wheel(h) is None) * enumeration.WHEEL_FREE
-                    )
-                    assert facts_of(mask, child) == want, (g, mask)
+                    assert two_connected(mask) == is_two_connected(h), (g, mask)
+                    wheel_free = hub_free(mask) and find_wheel_through(child, n, (1 << n) - 1) is None
+                    assert wheel_free == (find_induced_wheel(h) is None), (g, mask)
+
+    def test_parent_generators_generate_the_automorphism_group(self, atlas8, monkeypatch):
+        # on every class with n <= 7 the generators, searched or read off
+        # the root partition, generate a group of order automorphism_count
+        # that holds every generator of the full search.  The root
+        # partition settles 688 of the 1,044 classes on 7 vertices and
+        # 9,276 of the 12,346 on 8
+        searched = []
+        search = enumeration._canonical_search
+        monkeypatch.setattr(
+            enumeration, "_canonical_search", lambda *args: searched.append(args[0]) or search(*args)
+        )
+        for n in range(min(8, max(atlas8)) + 1):
+            searched.clear()
+            for g in atlas8[n]:
+                gens = enumeration._parent_generators(n, g.rows)
+                if n > 7:
+                    continue
+                group = {tuple(range(n))}
+                stack = list(group)
+                while stack:
+                    p = stack.pop()
+                    for q in gens:
+                        r = tuple(q[p[v]] for v in range(n))
+                        if r not in group:
+                            group.add(r)
+                            stack.append(r)
+                assert len(group) == automorphism_count(g), g
+                assert set(search(n, g.rows)[2]) <= group, g
+            if n in (7, 8):
+                assert len(atlas8[n]) - len(searched) == {7: 688, 8: 9276}[n]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_last_level_report_equals_cached_level_report(self, monkeypatch, jobs):
+        # verify walks an uncached level max_n as a last level, which counts
+        # its classes and keeps only the wheel-free 2-connected ones; at
+        # every n <= 8 its report is byte-identical with the one read from
+        # the cached full level, and it keeps the same classes
+        monkeypatch.setattr(enumeration, "_atlas", {0: enumeration._atlas[0]})
+
+        def kept_classes(n):
+            kept = enumeration._census_level(n, jobs, True)[2]
+            return sorted(canonical_form(graph_from_canonical(r)) for r in kept)
+
+        for n in range(1, 9):
+            cold = verify_main_theorem(n, jobs=jobs).to_json()
+            cold_kept = kept_classes(n)
+            assert n not in enumeration._atlas
+            enumeration._level(n, jobs)
+            assert verify_main_theorem(n, jobs=jobs).to_json().encode() == cold.encode(), n
+            assert kept_classes(n) == cold_kept, n
+
+    def test_last_level_is_not_cached(self, monkeypatch):
+        # after a cold verify at 7 no level 7 is cached, and the levels
+        # generated after it still give the A000088 counts and the golden
+        # rows
+        golden = json.loads((GOLDEN / "verify-9.json").read_text())["rows"]
+        monkeypatch.setattr(enumeration, "_atlas", {0: enumeration._atlas[0]})
+        assert [r.to_dict() for r in verify_main_theorem(7, jobs=1).rows] == golden[:7]
+        assert sorted(enumeration._atlas) == list(range(7))
+        assert sum(1 for _ in enumerate_graphs(7, jobs=1)) == KNOWN_CLASS_COUNTS[7]
+        rows = verify_main_theorem(8, jobs=1).rows
+        assert [r.all for r in rows] == [KNOWN_CLASS_COUNTS[n] for n in range(1, 9)]
+        assert [r.to_dict() for r in rows] == golden[:8]
+        assert sorted(enumeration._atlas) == list(range(8))
+
+    def test_last_level_wheel_tests(self, monkeypatch):
+        # the last level runs the rim test only on a 2-connected child of a
+        # wheel-free parent that passes the hub test: 826 children at n = 8,
+        # where the full level tests 2,891 hub-free children of wheel-free
+        # parents, 2-connected or not
+        calls = collections.Counter()
+        real = enumeration.find_wheel_through
+
+        def counting(rows, anchor, cand):
+            calls[len(rows)] += 1
+            return real(rows, anchor, cand)
+
+        monkeypatch.setattr(enumeration, "find_wheel_through", counting)
+        monkeypatch.setattr(enumeration, "_atlas", {0: enumeration._atlas[0]})
+        verify_main_theorem(8, jobs=1)
+        assert calls[8] == 826
+        calls.clear()
+        enumeration._level(8)
+        assert calls[8] == 2891
 
     def test_matches_networkx_graph_atlas(self):
         # independent completeness oracle: the networkx atlas of all 1,253
@@ -510,9 +602,10 @@ class TestReportFormats:
     def test_parallel_generation_agrees_with_serial(self, monkeypatch):
         # the module atlas caches generated levels, so drop n > 5 to make
         # both runs generate n = 6 in this process from the same parents, and
-        # the jobs=2 run n = 7 in the worker pool: its chunks hold the serial
-        # level's graphs and facts in another order, the pool labels the
-        # sorted view the serial one labels in process, and the reports agree
+        # the jobs=2 run walk n = 7 as the last level in the worker pool and
+        # then generate it there in full: its chunks hold the serial level's
+        # graphs and facts in another order, the pool labels the sorted view
+        # the serial one labels in process, and the reports agree
         def drop_above_5():
             kept = {n: f for n, f in enumeration._atlas.items() if n <= 5}
             monkeypatch.setattr(enumeration, "_atlas", kept)
@@ -523,7 +616,7 @@ class TestReportFormats:
         view7 = enumeration._forms_for(7)
         drop_above_5()
         parallel = verify_main_theorem(7, jobs=2).to_json()
-        assert sorted(zip(*enumeration._level(7))) == sorted(zip(*level7))
+        assert sorted(zip(*enumeration._level(7, jobs=2))) == sorted(zip(*level7))
         assert enumeration._forms_for(7, jobs=2) == view7
         assert parallel.encode() == serial.encode()
 
