@@ -246,29 +246,6 @@ def find_proper_2_cutset(g: Graph) -> Optional[ProperTwoCutsetSplit]:
     return None
 
 
-def find_two_edge_cutsets(g: Graph):
-    """All edge pairs whose removal disconnects the graph.
-
-    Each item is ((e, f), components, small_side) where small_side flags the
-    shape with exactly two components, one a single vertex or single edge.
-    """
-    if not is_connected_masked(g.rows, g.vertex_mask):
-        raise NotConnected("2-edge-cutset search requires a connected graph")
-    out = []
-    for (a, b), (c, d) in combinations(g.edges(), 2):
-        rows = list(g.rows)
-        rows[a] &= ~(1 << b)
-        rows[b] &= ~(1 << a)
-        rows[c] &= ~(1 << d)
-        rows[d] &= ~(1 << c)
-        comps = component_masks(tuple(rows), g.vertex_mask)
-        if len(comps) < 2:
-            continue
-        small = len(comps) == 2 and min(cm.bit_count() for cm in comps) <= 2
-        out.append((((a, b), (c, d)), tuple(frozenset(bits(cm)) for cm in comps), small))
-    return tuple(out)
-
-
 # ---------------------------------------------------------------------------
 # line-graph root recovery (Krausz partitions)
 # ---------------------------------------------------------------------------

@@ -38,16 +38,12 @@ with the level; :func:`_extension_facts` states both rules and why they are
 exact.
 
 The census's largest level, when no earlier call cached it, is walked as a
-last level: it is never a parent, so it keeps no graph and no facts byte,
-and it is not cached.  It takes the same masks and accepts the same
-children, since every mask still passes the degree rule, the
-neighbour-degree and triangle rule, the orbit skip and the tie decision;
-only the work after acceptance changes.  Each accepted child is counted,
-then tested for 2-connectivity, and only a 2-connected child of a
-wheel-free parent gets the wheel tests; only the wheel-free 2-connected
-children are kept.  The row counts every class, counts the 2-connected
-ones and reads only the graphs it keeps, and the same rules decide them,
-so the row is the one the full level gives.
+last level: it is never a parent, so it is not cached and keeps only its
+wheel-free 2-connected children, the only graphs the row reads.  It takes
+the same masks, accepts the same children and decides their facts by the
+same rules as a full level, and it counts every class and every
+2-connected one before it drops any, so the row is the one the full level
+gives.
 
 The census verifies the main characterization through two checks per n:
 
@@ -136,8 +132,8 @@ def _map_chunks(fn: Callable, items: list, jobs: int) -> list:
     0.13-0.30 s through it.  (Each range spans phases in which the shared
     host ran up to twice as fast.)  Generation concatenates the chunks'
     children, which are disjoint and together the children of one process,
-    a last level adds up their counts, and :func:`_forms_for` sorts the
-    labelings of its chunks, so chunk order changes none of them.
+    and adds up their counts, and :func:`_forms_for` sorts the labelings of
+    its chunks, so chunk order changes none of them.
 
     Each call's pool starts its workers with the platform's default
     method.  Only module-level functions, partials of them and picklable
@@ -203,13 +199,12 @@ def _extension_facts(
 
 def _child_forms(
     parents: list[tuple[tuple[int, ...], int]], last: bool = False
-) -> tuple[list[bytes], bytearray] | tuple[int, int, list[bytes]]:
+) -> tuple[int, int, list[bytes], bytearray]:
     """The one-vertex extensions of the given parents (rows and facts byte,
-    all of one size, one per class) that canonical deletion accepts, as
-    packed rows (:func:`obstructa.canon.encode_form`) and one facts byte
-    each, in walk order; with ``last``, only their number, the number of
-    2-connected ones and the packed rows of the wheel-free 2-connected
-    ones.
+    all of one size, one per class) that canonical deletion accepts: their
+    number, the number of 2-connected ones, and their packed rows
+    (:func:`obstructa.canon.encode_form`) with one facts byte each, in walk
+    order.
 
     For each degree ``d`` from the parent's maximum degree to ``n_parent``,
     the walk takes every ``d``-subset of the vertices of degree below ``d``:
@@ -224,40 +219,37 @@ def _child_forms(
 
     Each parent keeps, for every vertex, its neighbour-degree sum and
     ``tri``, twice the number of edges among its neighbours.  The vertices
-    below ``d`` are ``(bit, degree, row, index)`` tuples built once per
-    ``d``, so one pass over a combination gives the mask and the new
-    vertex's sum: its neighbours' parent degrees plus ``d``.  The rows
-    serve the triangle count when the sums tie and the indices the child of
-    a mask that passes; no list is built for a mask that does not.  The
-    inner loops are written out, since on Python 3.11 a comprehension is a
-    function call that costs more than their few steps.  A rival's sum is
-    its parent sum plus its neighbours in the mask, plus ``d`` when it is
-    in the mask itself.  The rivals come from one list built per ``d``: the
-    parent's vertices of degree ``d``, and those of degree ``d - 1``, which
-    are rivals only when in the mask.  Only when the sums tie are the
-    triangle counts read: the new vertex's is the sum over u in M of
-    |N(u) ∩ M|, and a rival w's is ``tri[w]`` plus ``2·|N(w) ∩ M|`` when w
-    is in M, since v is then a neighbour of w adjacent to exactly those.  A
-    rival with more rejects the mask, and one with fewer is no rival.  Orbit
-    images are masks too: each generator is kept as a few (shift, target)
-    pairs, one per distance its vertices move, so an image is a handful of
-    shifts and ands with no vertex list.
+    below ``d`` are ``(bit, degree, row)`` tuples built once per ``d``, so
+    one pass over a combination gives the mask and the new vertex's sum:
+    its neighbours' parent degrees plus ``d``.  The rows serve the triangle
+    count when the sums tie; no list is built for a mask that does not
+    pass.  The inner loops are written out, since on Python 3.11 a
+    comprehension is a function call that costs more than their few steps.
+    A rival's sum is its parent sum plus its neighbours in the mask, plus
+    ``d`` when it is in the mask itself.  The rivals come from one list
+    built per ``d``: the parent's vertices of degree ``d``, and those of
+    degree ``d - 1``, which are rivals only when in the mask.  Only when the
+    sums tie are the triangle counts read: the new vertex's is the sum over
+    u in M of |N(u) ∩ M|, and a rival w's is ``tri[w]`` plus
+    ``2·|N(w) ∩ M|`` when w is in M, since v is then a neighbour of w
+    adjacent to exactly those.  A rival with more rejects the mask, and one
+    with fewer is no rival.  Orbit images are masks too: each generator is
+    kept as a few (shift, target) pairs, one per distance its vertices move,
+    so an image is a handful of shifts and ands with no vertex list.
 
     A child in which no rival ties the new vertex on all three coordinates
-    is accepted as the walk built it (P's vertices first, then v): v is the
-    only maximizer of the invariant, so it is the canonical one.  A child
-    with a tie goes to :func:`_decide_tie`; one that it labels keeps its
-    canonical rows, marked by ``CANONICAL`` in its facts byte.  The module
-    docstring shows that every class is accepted exactly once, so parents
-    split across workers give disjoint results.  A child's facts byte comes
-    from :func:`_extension_facts` and :func:`obstructa.detectors.find_wheel_through`.
+    is accepted as :func:`_grow` built it (P's vertices first, then v): v
+    is the only maximizer of the invariant, so it is the canonical one.  A
+    child with a tie goes to :func:`_decide_tie`; one that it labels keeps
+    its canonical rows, marked by ``CANONICAL`` in its facts byte.  The
+    module docstring shows that every class is accepted exactly once, so
+    parents split across workers give disjoint results.  A child's facts
+    byte comes from :func:`_extension_facts` and
+    :func:`obstructa.detectors.find_wheel_through`.
 
-    ``last`` is for a level that is never a parent, and changes only the
-    work done on a child once it is accepted: the 2-connectivity test from
-    the mask, then, for a 2-connected child of a wheel-free parent, the
-    hub test, then the rim test, which alone needs the child's rows; so
-    only a tie or a rim test builds them.  Only the wheel-free 2-connected
-    children are packed.
+    With ``last``, for a level that is never a parent, only the wheel-free
+    2-connected children are kept, and only 2-connected ones get the wheel
+    tests; the counts are those of the full walk.
     """
     accepted: list[bytes] = []
     accepted_facts = bytearray()
@@ -287,7 +279,7 @@ def _child_forms(
         two_connected, hub_free = _extension_facts(rows, facts)
         done: set[int] = set()
         for d in range(max(deg, default=0), n):
-            below = [(1 << u, deg[u], rows[u], u) for u in range(n_parent) if deg[u] < d]
+            below = [(1 << u, deg[u], rows[u]) for u in range(n_parent) if deg[u] < d]
             # the other vertices of degree d in the child: those of the
             # parent's degree d, and those of degree d - 1 when in the mask
             # (lifted), which then also neighbour the new vertex; each with
@@ -303,7 +295,7 @@ def _child_forms(
             for combo in combinations(below, d):
                 mask = 0
                 mine = d
-                for b, k, _, _ in combo:
+                for b, k, _ in combo:
                     mask |= b
                     mine += k
                 if mask in done:
@@ -320,7 +312,7 @@ def _child_forms(
                     if s == mine:
                         if mine_tri < 0:
                             mine_tri = 0
-                            for _, _, r, _ in combo:
+                            for _, _, r in combo:
                                 mine_tri += (r & mask).bit_count()
                         t += 2 * common * lifted
                         if t < mine_tri:
@@ -344,43 +336,38 @@ def _child_forms(
                         if image not in done:
                             done.add(image)
                             orbit.append(image)
-                if last:
-                    child = None
-                    if rivals:
-                        child = _grow(rows, mask)
-                        if _decide_tie(n, child, rivals) is None:
-                            continue
-                    classes += 1
-                    if not two_connected(mask):
-                        continue
-                    two_connected_classes += 1
-                    if hub_free(mask):
-                        child = child or _grow(rows, mask)
-                        if not find_wheel_through(child, n_parent, vbit - 1):
-                            accepted.append(encode_form(n, child))
+                # the child's rows are grown only for a tie, a rim test or
+                # a kept child, which a last level needs for few children
+                child = _grow(rows, mask) if rivals else None
+                kept = _decide_tie(n, child, rivals) if rivals else (None, 0)
+                if kept is None:
                     continue
-                child = list(rows)
-                for _, _, _, u in combo:
-                    child[u] |= vbit
-                child.append(mask)
-                kept = _decide_tie(n, child, rivals) if rivals else (child, 0)
-                if kept is not None:
-                    form, labeled = kept
-                    wheel_free = hub_free(mask) and not find_wheel_through(child, n_parent, vbit - 1)
-                    accepted.append(encode_form(n, form))
-                    accepted_facts.append(
-                        two_connected(mask) * TWO_CONNECTED | wheel_free * WHEEL_FREE | labeled
-                    )
-    if last:
-        return classes, two_connected_classes, accepted
-    return accepted, accepted_facts
+                classes += 1
+                biconnected = two_connected(mask)
+                two_connected_classes += biconnected
+                if last and not biconnected:
+                    continue
+                wheel_free = hub_free(mask)
+                if wheel_free:
+                    child = child or _grow(rows, mask)
+                    wheel_free = not find_wheel_through(child, n_parent, vbit - 1)
+                if last and not wheel_free:
+                    continue
+                form, labeled = kept
+                accepted.append(encode_form(n, form or child or _grow(rows, mask)))
+                accepted_facts.append(
+                    biconnected * TWO_CONNECTED | wheel_free * WHEEL_FREE | labeled
+                )
+    return classes, two_connected_classes, accepted, accepted_facts
 
 
 def _grow(rows: tuple[int, ...], mask: int) -> list[int]:
     """The rows of a parent plus a new vertex with neighbour mask ``mask``:
     the parent's vertices first, then the new one."""
     vbit = 1 << len(rows)
-    child = [r | vbit if mask >> u & 1 else r for u, r in enumerate(rows)]
+    child = list(rows)
+    for u in bits(mask):
+        child[u] |= vbit
     child.append(mask)
     return child
 
@@ -478,11 +465,13 @@ def _in_orbit(gens: list[tuple[int, ...]], u: int, v: int) -> bool:
     return v in orbit
 
 
-def _children(n: int, jobs: int, last: bool = False) -> list:
-    """The chunks of :func:`_child_forms` over the classes on ``n - 1``
-    vertices."""
+def _children(n: int, jobs: int, last: bool = False) -> tuple[int, int, list[bytes], bytes]:
+    """:func:`_child_forms` over the classes on ``n - 1`` vertices, its
+    chunks' counts added up and their rows and facts concatenated."""
     parents = [(graph_from_canonical(r).rows, x) for r, x in zip(*_level(n - 1, jobs))]
-    return _map_chunks(partial(_child_forms, last=last), parents, jobs)
+    chunks = _map_chunks(partial(_child_forms, last=last), parents, jobs)
+    classes, two_connected, rows, facts = zip(*chunks)
+    return sum(classes), sum(two_connected), [r for c in rows for r in c], b"".join(facts)
 
 
 def _level(n: int, jobs: int = 1) -> tuple[tuple[bytes, ...], bytes]:
@@ -490,9 +479,8 @@ def _level(n: int, jobs: int = 1) -> tuple[tuple[bytes, ...], bytes]:
     byte per graph: the sorted canonical view once :func:`_forms_for` has
     made it, else the children generation accepted, in generation order."""
     if n not in _atlas:
-        chunks = _children(n, jobs)
-        rows = tuple(r for chunk, _ in chunks for r in chunk)
-        _atlas[n] = rows, b"".join(facts for _, facts in chunks), False
+        _, _, rows, facts = _children(n, jobs)
+        _atlas[n] = tuple(rows), facts, False
     rows, facts, _ = _atlas[n]
     return rows, facts
 
@@ -504,9 +492,7 @@ def _census_level(n: int, jobs: int, last: bool) -> tuple[int, int, list[bytes]]
     not cached (see the module docstring); any other is read from
     :func:`_level`."""
     if last and n not in _atlas:
-        chunks = _children(n, jobs, last=True)
-        kept = [r for _, _, rows in chunks for r in rows]
-        return sum(c[0] for c in chunks), sum(c[1] for c in chunks), kept
+        return _children(n, jobs, last=True)[:3]
     level, facts = _level(n, jobs)
     both = TWO_CONNECTED | WHEEL_FREE
     kept = [r for r, x in zip(level, facts) if x & both == both]

@@ -502,21 +502,3 @@ def line_graph(g: Graph) -> tuple[Graph, tuple[tuple[int, int], ...]]:
         inc[v] |= 1 << i
     rows = tuple((inc[u] | inc[v]) & ~(1 << i) for i, (u, v) in enumerate(edges))
     return Graph(len(edges), rows), tuple(edges)
-
-
-# ---------------------------------------------------------------------------
-# small structural predicates shared across modules
-# ---------------------------------------------------------------------------
-
-
-def is_path_graph(g: Graph) -> bool:
-    """Whole graph is a simple path (a single vertex counts)."""
-    if g.n == 0:
-        return False
-    if g.n == 1:
-        return True
-    return (
-        g.edge_count == g.n - 1
-        and max(r.bit_count() for r in g.rows) <= 2
-        and is_connected_masked(g.rows, g.vertex_mask)
-    )

@@ -2,6 +2,7 @@ import os
 
 import pytest
 
+from obstructa import enumeration
 from obstructa.enumeration import enumerate_graphs
 
 # The acceptance criteria run at n <= 9 by default; lower this locally for a
@@ -20,3 +21,16 @@ def atlas8():
 def atlas():
     """All isomorphism classes up to the acceptance scale (default 9)."""
     return {n: tuple(enumerate_graphs(n)) for n in range(ATLAS_MAX_N + 1)}
+
+
+@pytest.fixture
+def drop_levels(monkeypatch):
+    """A function that drops, for this test, every cached generation level
+    above ``top`` (default 0; level 0 is always kept), so that the next
+    call that needs one generates it, or walks it as a last level."""
+
+    def drop_above(top: int = 0) -> None:
+        kept = {n: level for n, level in enumeration._atlas.items() if n <= top}
+        monkeypatch.setattr(enumeration, "_atlas", kept)
+
+    return drop_above

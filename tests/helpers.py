@@ -22,7 +22,6 @@ from obstructa.graphs import (
     graph_from_edges,
     induced_rows,
     induced_subgraph,
-    is_path_graph,
 )
 
 
@@ -328,6 +327,16 @@ def line_graph_oracle(g: Graph) -> tuple[Graph, tuple[tuple[int, int], ...]]:
         [(i, j) for i, j in itertools.combinations(range(len(edges)), 2) if set(edges[i]) & set(edges[j])],
     )
     return lg, tuple(edges)
+
+
+def is_path_graph(g: Graph) -> bool:
+    """Whether the whole graph is a simple path (a single vertex counts)."""
+    return (
+        g.n > 0
+        and g.edge_count == g.n - 1
+        and all(r.bit_count() <= 2 for r in g.rows)
+        and len(_components_brute(g, list(range(g.n)))) == 1
+    )
 
 
 def _side_is_valid(g: Graph, u: int, v: int, comps: list[frozenset[int]]) -> bool:

@@ -11,7 +11,6 @@ from obstructa.decompose import (
     check_only_prism_dichotomy,
     find_proper_2_cutset,
     find_special_edges,
-    find_two_edge_cutsets,
     has_k4_minor,
     is_chordless,
     is_only_prism,
@@ -211,9 +210,7 @@ class TestProperTwoCutset:
                 for b in (split.side_x | split.side_y) - side:
                     assert not g.has_edge(a, b)
             sub, _ = induced_subgraph(g, side | {split.u, split.v})
-            from obstructa.graphs import is_path_graph
-
-            assert not is_path_graph(sub)
+            assert not helpers.is_path_graph(sub)
 
     def test_matches_oracle_to_n7(self, atlas8):
         for n in range(min(7, max(atlas8)) + 1):
@@ -223,21 +220,6 @@ class TestProperTwoCutset:
                 split = find_proper_2_cutset(g)
                 got = split and (split.u, split.v, split.side_x, split.side_y)
                 assert got == helpers.proper_2_cutset_oracle(g), g
-
-
-class TestTwoEdgeCutsets:
-    def test_c4_all_pairs(self):
-        assert len(find_two_edge_cutsets(helpers.cycle(4))) == 6
-
-    def test_triangular_prism_three_edge_connected(self):
-        assert find_two_edge_cutsets(build_short_variant("shortprism", (1, 1, 1))) == ()
-
-    def test_subdivided_k4_isolating_pair(self):
-        g = graph_from_edges(
-            5, [(0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (0, 4), (1, 4)]
-        )  # K4 with edge 01 subdivided by 4
-        hits = find_two_edge_cutsets(g)
-        assert (((0, 4), (1, 4)), (frozenset({0, 1, 2, 3}), frozenset({4})), True) in hits
 
 
 class TestLineGraphRecognition:

@@ -91,7 +91,7 @@ class TestGeneration:
         with pytest.raises(TooLarge):
             list(enumerate_graphs(10))
 
-    def test_labelings_per_n(self, monkeypatch):
+    def test_labelings_per_n(self, monkeypatch, drop_levels):
         # canonical deletion labels a child only when a rival ties its new
         # vertex on (degree, sum of neighbour degrees, twice the number of
         # edges among the neighbours) and neither twins nor the root
@@ -129,7 +129,7 @@ class TestGeneration:
         monkeypatch.setattr(enumeration, "canonical_rows", lambda n, rows: counting(n, rows)[0])
         monkeypatch.setattr(enumeration, "_refine", counting_refine)
         monkeypatch.setattr(canon, "_refine", counting_refine)
-        monkeypatch.setattr(enumeration, "_atlas", {0: enumeration._atlas[0]})
+        drop_levels()
         assert verify_main_theorem(8, jobs=1).counterexamples == ()
         assert len(refined) == 10144
         # the searches on n vertices: the parents of n + 1 vertices whose
@@ -141,7 +141,7 @@ class TestGeneration:
         # less the tied children searched at n = 4..8, as pinned in
         # test_tie_decision_matches_the_search
         assert len(sizes) - sum([3, 6, 37, 145, 1130]) == 429
-        monkeypatch.setattr(enumeration, "_atlas", {0: enumeration._atlas[0]})
+        drop_levels()
         per_n = []
         for n in range(1, 9):
             sizes.clear()
@@ -160,12 +160,12 @@ class TestGeneration:
         monkeypatch.setattr(enumeration, "_decide_tie", lambda n, child, rivals: (child, 0))
         for n in range(min(7, max(atlas8)) + 1):
             for g in atlas8[n]:
-                accepted, _ = enumeration._child_forms([(g.rows, 0)])
+                accepted = enumeration._child_forms([(g.rows, 0)])[2]
                 passed = [graph_from_canonical(r).rows[-1] for r in accepted]
                 gens = _canonical_search(n, g.rows)[2]
                 assert passed == helpers.labeled_masks_reference(n, g.rows, gens), g
 
-    def test_canonical_deletion_accepts_each_class_once(self, monkeypatch):
+    def test_canonical_deletion_accepts_each_class_once(self, drop_levels):
         # with no seen-set, the children accepted at each n <= 8 are pairwise
         # non-isomorphic and one per class (A000088); a child accepted after
         # a search keeps its canonical rows, and in one accepted without a
@@ -174,7 +174,7 @@ class TestGeneration:
         # the neighbours) in the child's canonical order;
         # the two halves of a strided jobs=2 split of the n = 7 parents
         # accept disjoint sets of classes
-        monkeypatch.setattr(enumeration, "_atlas", {0: enumeration._atlas[0]})
+        drop_levels()
         for n in range(1, 9):
             level, facts = enumeration._level(n)
             forms = [canonical_form(graph_from_canonical(r)) for r in level]
@@ -186,12 +186,12 @@ class TestGeneration:
                 rows = graph_from_canonical(packed).rows
                 assert n - 1 in canonical_maximizer_orbit(n, rows), rows
         parents = [(graph_from_canonical(r).rows, x) for r, x in zip(*enumeration._level(7))]
-        halves = [enumeration._child_forms(parents[i::2])[0] for i in range(2)]
+        halves = [enumeration._child_forms(parents[i::2])[2] for i in range(2)]
         forms = [{canonical_form(graph_from_canonical(r)) for r in half} for half in halves]
         assert not forms[0] & forms[1]
         assert len(forms[0]) + len(forms[1]) == KNOWN_CLASS_COUNTS[8]
 
-    def test_tie_decision_matches_the_search(self, monkeypatch):
+    def test_tie_decision_matches_the_search(self, monkeypatch, drop_levels):
         # on every tied child at n <= 8, the twin and root-cell steps give
         # the verdict of the full search: accept exactly when the new vertex
         # is in the orbit of the first maximizer of the canonical order, on
@@ -225,7 +225,7 @@ class TestGeneration:
         for name in real:
             monkeypatch.setattr(enumeration, name, counted(name))
         monkeypatch.setattr(enumeration, "_decide_tie", recording)
-        monkeypatch.setattr(enumeration, "_atlas", {0: enumeration._atlas[0]})
+        drop_levels()
         enumeration._level(8)
         for n, rows, accepted, _ in ties:
             assert accepted == (n - 1 in canonical_maximizer_orbit(n, rows)), rows
@@ -337,12 +337,12 @@ class TestGeneration:
                 assert len(atlas8[n]) - len(searched) == {7: 688, 8: 9276}[n]
 
     @pytest.mark.parametrize("jobs", [1, 2])
-    def test_last_level_report_equals_cached_level_report(self, monkeypatch, jobs):
+    def test_last_level_report_equals_cached_level_report(self, drop_levels, jobs):
         # verify walks an uncached level max_n as a last level, which counts
         # its classes and keeps only the wheel-free 2-connected ones; at
         # every n <= 8 its report is byte-identical with the one read from
         # the cached full level, and it keeps the same classes
-        monkeypatch.setattr(enumeration, "_atlas", {0: enumeration._atlas[0]})
+        drop_levels()
 
         def kept_classes(n):
             kept = enumeration._census_level(n, jobs, True)[2]
@@ -356,12 +356,12 @@ class TestGeneration:
             assert verify_main_theorem(n, jobs=jobs).to_json().encode() == cold.encode(), n
             assert kept_classes(n) == cold_kept, n
 
-    def test_last_level_is_not_cached(self, monkeypatch):
+    def test_last_level_is_not_cached(self, drop_levels):
         # after a cold verify at 7 no level 7 is cached, and the levels
         # generated after it still give the A000088 counts and the golden
         # rows
         golden = json.loads((GOLDEN / "verify-9.json").read_text())["rows"]
-        monkeypatch.setattr(enumeration, "_atlas", {0: enumeration._atlas[0]})
+        drop_levels()
         assert [r.to_dict() for r in verify_main_theorem(7, jobs=1).rows] == golden[:7]
         assert sorted(enumeration._atlas) == list(range(7))
         assert sum(1 for _ in enumerate_graphs(7, jobs=1)) == KNOWN_CLASS_COUNTS[7]
@@ -370,7 +370,24 @@ class TestGeneration:
         assert [r.to_dict() for r in rows] == golden[:8]
         assert sorted(enumeration._atlas) == list(range(8))
 
-    def test_last_level_wheel_tests(self, monkeypatch):
+    def test_last_walk_keeps_the_full_walks_rows(self):
+        # from the same parents at every n <= 8, the walk with last counts
+        # the classes and 2-connected classes of the full walk and keeps,
+        # byte for byte and in order, the full walk's rows and facts whose
+        # facts say 2-connected and wheel-free: a searched tie in its
+        # canonical form
+        both = enumeration.TWO_CONNECTED | enumeration.WHEEL_FREE
+        for n in range(1, 9):
+            level = zip(*enumeration._level(n - 1))
+            parents = [(graph_from_canonical(r).rows, x) for r, x in level]
+            classes, two_connected, rows, facts = enumeration._child_forms(parents)
+            assert classes == len(rows) == KNOWN_CLASS_COUNTS[n]
+            assert two_connected == KNOWN_TWO_CONNECTED[n]
+            kept = [(r, x) for r, x in zip(rows, facts) if x & both == both]
+            want = (classes, two_connected, [r for r, _ in kept], bytearray(x for _, x in kept))
+            assert enumeration._child_forms(parents, last=True) == want, n
+
+    def test_last_level_wheel_tests(self, monkeypatch, drop_levels):
         # the last level runs the rim test only on a 2-connected child of a
         # wheel-free parent that passes the hub test: 826 children at n = 8,
         # where the full level tests 2,891 hub-free children of wheel-free
@@ -383,7 +400,7 @@ class TestGeneration:
             return real(rows, anchor, cand)
 
         monkeypatch.setattr(enumeration, "find_wheel_through", counting)
-        monkeypatch.setattr(enumeration, "_atlas", {0: enumeration._atlas[0]})
+        drop_levels()
         verify_main_theorem(8, jobs=1)
         assert calls[8] == 826
         calls.clear()
@@ -465,7 +482,7 @@ class TestCensus:
                 wheel_free_3pcs=sum(x.recognized_3pc is not None for x in kept),
             )
 
-    def test_survey_reads_facts(self, atlas8, monkeypatch):
+    def test_survey_reads_facts(self, atlas8, monkeypatch, drop_levels):
         # the survey tests no class for 2-connectivity or wheels and
         # recognizes none, generation included: check (a) scans each
         # wheel-free 2-connected class for an induced 3PC and searches only
@@ -502,7 +519,7 @@ class TestCensus:
             for name, fn in originals.items():
                 if getattr(module, name, None) is fn:
                     monkeypatch.setattr(module, name, recording(name, fn))
-        monkeypatch.setattr(enumeration, "_atlas", {0: enumeration._atlas[0]})
+        drop_levels()
         verify_main_theorem(7, jobs=1)
 
         def classes_of(rows_list):
@@ -599,22 +616,18 @@ class TestReportFormats:
         parallel = census(6, jobs=2).to_json()
         assert serial == parallel
 
-    def test_parallel_generation_agrees_with_serial(self, monkeypatch):
+    def test_parallel_generation_agrees_with_serial(self, drop_levels):
         # the module atlas caches generated levels, so drop n > 5 to make
         # both runs generate n = 6 in this process from the same parents, and
         # the jobs=2 run walk n = 7 as the last level in the worker pool and
         # then generate it there in full: its chunks hold the serial level's
         # graphs and facts in another order, the pool labels the sorted view
         # the serial one labels in process, and the reports agree
-        def drop_above_5():
-            kept = {n: f for n, f in enumeration._atlas.items() if n <= 5}
-            monkeypatch.setattr(enumeration, "_atlas", kept)
-
-        drop_above_5()
+        drop_levels(5)
         serial = verify_main_theorem(7, jobs=1).to_json()
         level7 = enumeration._level(7)
         view7 = enumeration._forms_for(7)
-        drop_above_5()
+        drop_levels(5)
         parallel = verify_main_theorem(7, jobs=2).to_json()
         assert sorted(zip(*enumeration._level(7, jobs=2))) == sorted(zip(*level7))
         assert enumeration._forms_for(7, jobs=2) == view7
@@ -629,12 +642,12 @@ class TestReportFormats:
 
         forms, facts = enumeration._forms_for(6)
         parents = [(graph_from_canonical(f).rows, x) for f, x in zip(forms, facts)]
-        children = list(zip(*enumeration._child_forms(parents)))
+        children = list(zip(*enumeration._child_forms(parents)[2:]))
         unlabeled = [(r, x) for r, x in children if not x & enumeration.CANONICAL]
         with mp.get_context("spawn").Pool(2) as pool:
             halves = pool.map(enumeration._child_forms, [parents[0::2], parents[1::2]])
             labeled = pool.map(enumeration._label, [unlabeled[0::2], unlabeled[1::2]])
-        assert sorted(p for rows, x in halves for p in zip(rows, x)) == sorted(children)
+        assert sorted(p for *_, rows, x in halves for p in zip(rows, x)) == sorted(children)
         assert sorted(labeled[0] + labeled[1]) == sorted(enumeration._label(unlabeled))
 
     def test_verify_agrees_under_spawn_start_method(self):

@@ -43,12 +43,11 @@ GOLDEN = Path(__file__).parent / "golden"
 DECOMPOSE_SPECS = ("theta+1:2,2,2", "shortprism:1,1,1", "shortpyramid:1,2,2", "wheel:6@0,2,4")
 
 
-def test_verify_matches_golden_reports(monkeypatch):
+def test_verify_matches_golden_reports(drop_levels):
     """At a lowered OBSTRUCTA_TEST_MAX_N only the CSV header and the rows up
     to that n are compared.  The largest level is dropped from the cache
     first, so verify walks it as a last level whatever ran before."""
-    kept = {n: level for n, level in enumeration._atlas.items() if n < ATLAS_MAX_N}
-    monkeypatch.setattr(enumeration, "_atlas", kept)
+    drop_levels(ATLAS_MAX_N - 1)
     report = verify_main_theorem(ATLAS_MAX_N)
     golden_csv = (GOLDEN / "verify-9.csv").read_bytes()
     if ATLAS_MAX_N == 9:
