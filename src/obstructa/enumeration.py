@@ -39,11 +39,10 @@ exact.
 
 The census's largest level, when no earlier call cached it, is walked as a
 last level: it is never a parent, so it is not cached and keeps only its
-wheel-free 2-connected children, the only graphs the row reads.  It takes
-the same masks, accepts the same children and decides their facts by the
-same rules as a full level, and it counts every class and every
-2-connected one before it drops any, so the row is the one the full level
-gives.
+wheel-free 2-connected children, the only graphs the row reads.  It
+extends only the connected parents and drops separable masks before any
+tie is decided, and keeps the rows and the 2-connected count a full level
+gives (:func:`_child_forms` says why); ``all`` is :func:`_class_count`.
 
 The census verifies the main characterization through two checks per n:
 
@@ -72,6 +71,7 @@ import os
 from dataclasses import asdict, dataclass, fields, replace
 from functools import partial
 from itertools import combinations
+from math import factorial, gcd, prod
 from typing import Callable, Iterator, Optional, Sequence
 
 from .canon import (
@@ -199,12 +199,11 @@ def _extension_facts(
 
 def _child_forms(
     parents: list[tuple[tuple[int, ...], int]], last: bool = False
-) -> tuple[int, int, list[bytes], bytearray]:
+) -> tuple[int, list[bytes], bytearray]:
     """The one-vertex extensions of the given parents (rows and facts byte,
-    all of one size, one per class) that canonical deletion accepts: their
-    number, the number of 2-connected ones, and their packed rows
-    (:func:`obstructa.canon.encode_form`) with one facts byte each, in walk
-    order.
+    all of one size, one per class) that canonical deletion accepts: how
+    many are 2-connected, and their packed rows (:func:`encode_form`) with
+    one facts byte each, in walk order.
 
     For each degree ``d`` from the parent's maximum degree to ``n_parent``,
     the walk takes every ``d``-subset of the vertices of degree below ``d``:
@@ -247,13 +246,17 @@ def _child_forms(
     byte comes from :func:`_extension_facts` and
     :func:`obstructa.detectors.find_wheel_through`.
 
-    With ``last``, for a level that is never a parent, only the wheel-free
-    2-connected children are kept, and only 2-connected ones get the wheel
-    tests; the counts are those of the full walk.
+    With ``last``, a mask is tested for 2-connectivity right after the orbit
+    skip, and only wheel-free 2-connected children are kept.  From the
+    connected parents, it keeps the full walk's 2-connected count and its
+    wheel-free 2-connected rows and facts, in order: a 2-connected child
+    minus any vertex is connected, and a parent automorphism maps cut
+    components to cut components, so an orbit's masks are all 2-connected
+    or none is.
     """
     accepted: list[bytes] = []
     accepted_facts = bytearray()
-    classes = two_connected_classes = 0
+    two_connected_classes = 0
     n_parent = len(parents[0][0]) if parents else 0
     n = n_parent + 1
     vbit = 1 << n_parent
@@ -298,7 +301,7 @@ def _child_forms(
                 for b, k, _ in combo:
                     mask |= b
                     mine += k
-                if mask in done:
+                if mask in done or last and not two_connected(mask):
                     continue
                 mine_tri = -1
                 rivals = 0
@@ -342,11 +345,8 @@ def _child_forms(
                 kept = _decide_tie(n, child, rivals) if rivals else (None, 0)
                 if kept is None:
                     continue
-                classes += 1
-                biconnected = two_connected(mask)
+                biconnected = last or two_connected(mask)
                 two_connected_classes += biconnected
-                if last and not biconnected:
-                    continue
                 wheel_free = hub_free(mask)
                 if wheel_free:
                     child = child or _grow(rows, mask)
@@ -358,7 +358,7 @@ def _child_forms(
                 accepted_facts.append(
                     biconnected * TWO_CONNECTED | wheel_free * WHEEL_FREE | labeled
                 )
-    return classes, two_connected_classes, accepted, accepted_facts
+    return two_connected_classes, accepted, accepted_facts
 
 
 def _grow(rows: tuple[int, ...], mask: int) -> list[int]:
@@ -465,13 +465,14 @@ def _in_orbit(gens: list[tuple[int, ...]], u: int, v: int) -> bool:
     return v in orbit
 
 
-def _children(n: int, jobs: int, last: bool = False) -> tuple[int, int, list[bytes], bytes]:
-    """:func:`_child_forms` over the classes on ``n - 1`` vertices, its
-    chunks' counts added up and their rows and facts concatenated."""
+def _children(n: int, jobs: int, last: bool = False) -> tuple[int, list[bytes], bytes]:
+    """:func:`_child_forms` over the (for ``last``, connected) classes on
+    ``n - 1`` vertices, its chunks' counts added and their rows and facts joined."""
     parents = [(graph_from_canonical(r).rows, x) for r, x in zip(*_level(n - 1, jobs))]
+    parents = [p for p in parents if not last or is_connected_masked(p[0], (1 << n - 1) - 1)]
     chunks = _map_chunks(partial(_child_forms, last=last), parents, jobs)
-    classes, two_connected, rows, facts = zip(*chunks)
-    return sum(classes), sum(two_connected), [r for c in rows for r in c], b"".join(facts)
+    two_connected, rows, facts = zip(*chunks)
+    return sum(two_connected), [r for c in rows for r in c], b"".join(facts)
 
 
 def _level(n: int, jobs: int = 1) -> tuple[tuple[bytes, ...], bytes]:
@@ -479,24 +480,41 @@ def _level(n: int, jobs: int = 1) -> tuple[tuple[bytes, ...], bytes]:
     byte per graph: the sorted canonical view once :func:`_forms_for` has
     made it, else the children generation accepted, in generation order."""
     if n not in _atlas:
-        _, _, rows, facts = _children(n, jobs)
+        _, rows, facts = _children(n, jobs)
         _atlas[n] = tuple(rows), facts, False
     rows, facts, _ = _atlas[n]
     return rows, facts
 
 
-def _census_level(n: int, jobs: int, last: bool) -> tuple[int, int, list[bytes]]:
-    """The number of classes on ``n`` vertices, the number of 2-connected
-    ones, and one graph per wheel-free 2-connected class as packed rows.
-    A ``last`` level that is not cached is walked with ``last`` set, and
-    not cached (see the module docstring); any other is read from
-    :func:`_level`."""
+def _census_level(n: int, jobs: int, last: bool) -> tuple[int, list[bytes]]:
+    """The number of 2-connected classes on ``n`` vertices and one graph
+    per wheel-free 2-connected class as packed rows: from :func:`_level`,
+    or from an uncached walk with ``last`` when ``last`` and not cached."""
     if last and n not in _atlas:
-        return _children(n, jobs, last=True)[:3]
+        return _children(n, jobs, last=True)[:2]
     level, facts = _level(n, jobs)
     both = TWO_CONNECTED | WHEEL_FREE
     kept = [r for r, x in zip(level, facts) if x & both == both]
-    return len(level), sum(1 for x in facts if x & TWO_CONNECTED), kept
+    return sum(1 for x in facts if x & TWO_CONNECTED), kept
+
+
+def _class_count(n: int) -> int:
+    """The number of classes on ``n`` vertices (OEIS A000088) by Burnside's
+    lemma (Harary & Palmer, *Graphical Enumeration*): the mean over the n!
+    vertex permutations of 2 to the number of cycles each induces on the
+    vertex pairs.  The n! / z permutations with cycle lengths c_1 >= ... >=
+    c_k, z the product of the c_i and of m! for the m cycles of each length,
+    induce sum floor(c_i / 2) + sum_{i<j} gcd(c_i, c_j) pair cycles each."""
+    total = 0
+    stack = [((), n)]
+    while stack:
+        cycles, left = stack.pop()
+        stack += [((*cycles, c), left - c) for c in range(1, min([left, *cycles[-1:]]) + 1)]
+        if not left:
+            pairs = sum(c // 2 + sum(gcd(c, b) for b in cycles[:i]) for i, c in enumerate(cycles))
+            z = prod(cycles) * prod(factorial(cycles.count(c)) for c in set(cycles))
+            total += (factorial(n) // z) << pairs
+    return total // factorial(n)
 
 
 def _label(graphs: list[tuple[bytes, int]]) -> list[tuple[bytes, int]]:
@@ -631,17 +649,16 @@ def verify_main_theorem(max_n: int, jobs: Optional[int] = None) -> CensusReport:
     wheel-free 2-connected class with no induced 3PC and no Hamiltonian
     cycle (check (a)), and each wheel-free 3PC spec that is no
     HC-obstruction (check (b)).  The classes come from the facts bytes of
-    each level as generation left it, except level ``max_n`` when it is not
-    cached: that one is walked as a last level, which counts its classes
-    and keeps only the wheel-free 2-connected ones, and it stays uncached.
-    No class is tested for 2-connectivity or wheels apart from generation's
-    rules, and only counterexamples are labeled."""
+    each level as generation left it, or from an uncached level ``max_n``
+    walked as a last level.  No class is tested for 2-connectivity or
+    wheels apart from generation's rules, and only counterexamples are
+    labeled; ``all`` is :func:`_class_count`."""
     _check_vertex_count(max_n, "verification")
     jobs = resolve_jobs(jobs)
     rows = []
     counterexamples: set[str] = set()
     for n in range(1, max_n + 1):
-        count, two_connected, kept = _census_level(n, jobs, n == max_n)
+        two_connected, kept = _census_level(n, jobs, n == max_n)
         classes = [graph_from_canonical(r) for r in kept]
         free = [g for g in classes if find_induced_3pc(g) is None]
         non_hamiltonian = [g for g in free if not find_hamiltonian_cycle(g).found]
@@ -651,7 +668,7 @@ def verify_main_theorem(max_n: int, jobs: Optional[int] = None) -> CensusReport:
         rows.append(
             CensusRow(
                 n=n,
-                all=count,
+                all=_class_count(n),
                 two_connected=two_connected,
                 wheel_free_2conn=len(classes),
                 three_pc_free_among_those=len(free),

@@ -21,12 +21,10 @@ from obstructa.decompose import (
     reduce_adjacent_degree2,
     reduce_special_edges,
     root_from_partition,
-    triangle_free,
 )
 from obstructa.errors import AmbiguousMidpoints, NotTwoConnected, PreconditionViolated
 from obstructa.families import ThreePcSpec, build_3pc, build_short_variant, recognize_3pc
 from obstructa.graphs import (
-    Graph,
     contract_edge,
     graph_from_edges,
     induced_subgraph,

@@ -97,21 +97,24 @@ class TestGeneration:
         # edges among the neighbours) and neither twins nor the root
         # equitable partition decide the tie, and a parent only when some
         # cell of its root partition is not one twin class: verify at
-        # n <= 8 makes 1,750 searches, 429 of them for the automorphism
-        # generators of a parent, where searching each of the 1,253
-        # parents made 2,574, the invariant without its third coordinate
-        # 2,616, labeling every tied child 6,146 and labeling every child
-        # 15,908.  The sorted view labels once each class accepted without a
-        # search, so per n enumerate_graphs labels each class once plus each
-        # tied child the search rejects: 13,600 at n <= 8 (13,625 without
+        # n <= 8 makes 1,262 searches, 356 of them for the automorphism
+        # generators of a parent, since its last level extends only the 853
+        # connected parents and decides only the ties of 2-connected
+        # children.  With level 8 walked in full it made 1,750, 429 for
+        # parents, where searching each of the 1,253 parents made 2,574, the
+        # invariant without its third coordinate 2,616, labeling every tied
+        # child 6,146 and labeling every child 15,908.  The sorted view
+        # labels once each class accepted without a search, so per n
+        # enumerate_graphs labels each class once plus each tied child the
+        # search rejects: 13,600 at n <= 8 (13,625 without
         # the third coordinate), no more than the 14,655 of labeling every
         # tie, which labeled as many children as the seen-set did, one per
         # automorphism orbit of masks where the new vertex maximizes
         # (degree, sum of neighbour degrees).  A searched tie or parent starts
         # from the root partition refined before it, so verify refines
-        # 10,144 partitions, against 10,849 when every parent was searched,
-        # 12,374 without the third coordinate and 13,737 when each search
-        # refined its own root
+        # 7,379 partitions.  With level 8 walked in full it refined 10,144,
+        # against 10,849 when every parent was searched, 12,374 without the
+        # third coordinate and 13,737 when each search refined its own root
         sizes = []
         refined = []
         search = enumeration._canonical_search
@@ -131,16 +134,17 @@ class TestGeneration:
         monkeypatch.setattr(canon, "_refine", counting_refine)
         drop_levels()
         assert verify_main_theorem(8, jobs=1).counterexamples == ()
-        assert len(refined) == 10144
+        assert len(refined) == 7379
         # the searches on n vertices: the parents of n + 1 vertices whose
         # root partition does not settle their group, and the tied children
         # on n vertices that go to the search
         per_size = collections.Counter(sizes)
-        assert [per_size[n] for n in range(9)] == [0, 0, 0, 0, 6, 16, 97, 501, 1130]
-        assert len(sizes) == 1750
-        # less the tied children searched at n = 4..8, as pinned in
-        # test_tie_decision_matches_the_search
-        assert len(sizes) - sum([3, 6, 37, 145, 1130]) == 429
+        assert [per_size[n] for n in range(9)] == [0, 0, 0, 0, 6, 16, 97, 428, 715]
+        assert len(sizes) == 1262
+        # less the tied children searched at n = 4..7, as pinned in
+        # test_tie_decision_matches_the_search, and the 715 of the last
+        # level n = 8, of the full level's 1,130
+        assert len(sizes) - sum([3, 6, 37, 145, 715]) == 356
         drop_levels()
         per_n = []
         for n in range(1, 9):
@@ -160,7 +164,7 @@ class TestGeneration:
         monkeypatch.setattr(enumeration, "_decide_tie", lambda n, child, rivals: (child, 0))
         for n in range(min(7, max(atlas8)) + 1):
             for g in atlas8[n]:
-                accepted = enumeration._child_forms([(g.rows, 0)])[2]
+                accepted = enumeration._child_forms([(g.rows, 0)])[1]
                 passed = [graph_from_canonical(r).rows[-1] for r in accepted]
                 gens = _canonical_search(n, g.rows)[2]
                 assert passed == helpers.labeled_masks_reference(n, g.rows, gens), g
@@ -186,7 +190,7 @@ class TestGeneration:
                 rows = graph_from_canonical(packed).rows
                 assert n - 1 in canonical_maximizer_orbit(n, rows), rows
         parents = [(graph_from_canonical(r).rows, x) for r, x in zip(*enumeration._level(7))]
-        halves = [enumeration._child_forms(parents[i::2])[2] for i in range(2)]
+        halves = [enumeration._child_forms(parents[i::2])[1] for i in range(2)]
         forms = [{canonical_form(graph_from_canonical(r)) for r in half} for half in halves]
         assert not forms[0] & forms[1]
         assert len(forms[0]) + len(forms[1]) == KNOWN_CLASS_COUNTS[8]
@@ -345,7 +349,7 @@ class TestGeneration:
         drop_levels()
 
         def kept_classes(n):
-            kept = enumeration._census_level(n, jobs, True)[2]
+            kept = enumeration._census_level(n, jobs, True)[1]
             return sorted(canonical_form(graph_from_canonical(r)) for r in kept)
 
         for n in range(1, 9):
@@ -371,21 +375,57 @@ class TestGeneration:
         assert sorted(enumeration._atlas) == list(range(8))
 
     def test_last_walk_keeps_the_full_walks_rows(self):
-        # from the same parents at every n <= 8, the walk with last counts
-        # the classes and 2-connected classes of the full walk and keeps,
-        # byte for byte and in order, the full walk's rows and facts whose
-        # facts say 2-connected and wheel-free: a searched tie in its
-        # canonical form
+        # at every n <= 8, the walk with last from the connected parents
+        # counts the 2-connected classes of the full walk from all parents
+        # and keeps, byte for byte and in order, the full walk's rows and
+        # facts whose facts say 2-connected and wheel-free: a searched tie in
+        # its canonical form
         both = enumeration.TWO_CONNECTED | enumeration.WHEEL_FREE
         for n in range(1, 9):
             level = zip(*enumeration._level(n - 1))
             parents = [(graph_from_canonical(r).rows, x) for r, x in level]
-            classes, two_connected, rows, facts = enumeration._child_forms(parents)
-            assert classes == len(rows) == KNOWN_CLASS_COUNTS[n]
+            two_connected, rows, facts = enumeration._child_forms(parents)
+            assert len(rows) == KNOWN_CLASS_COUNTS[n]
             assert two_connected == KNOWN_TWO_CONNECTED[n]
             kept = [(r, x) for r, x in zip(rows, facts) if x & both == both]
-            want = (classes, two_connected, [r for r, _ in kept], bytearray(x for _, x in kept))
-            assert enumeration._child_forms(parents, last=True) == want, n
+            want = (two_connected, [r for r, _ in kept], bytearray(x for _, x in kept))
+            full = (1 << n - 1) - 1
+            connected = [p for p in parents if graphs.is_connected_masked(p[0], full)]
+            assert enumeration._child_forms(connected, last=True) == want, n
+
+    def test_last_level_extends_connected_parents(self, monkeypatch, drop_levels):
+        # a cold verify at 8 extends, at its last level, the 853 connected
+        # classes on 7 vertices (OEIS A001349) of the 1,044, and decides
+        # 2,106 ties, where the full level decides 3,418: a separable mask
+        # is dropped before its tie is decided
+        extended = []
+        ties = collections.Counter()
+        walk, decide = enumeration._child_forms, enumeration._decide_tie
+
+        def recording_walk(parents, last=False):
+            if last:
+                extended.extend(parents)
+            return walk(parents, last)
+
+        def counting_decide(n, child, rivals):
+            ties[n] += 1
+            return decide(n, child, rivals)
+
+        monkeypatch.setattr(enumeration, "_child_forms", recording_walk)
+        monkeypatch.setattr(enumeration, "_decide_tie", counting_decide)
+        drop_levels()
+        verify_main_theorem(8, jobs=1)
+        assert len(extended) == 853
+        assert all(graphs.is_connected_masked(rows, (1 << 7) - 1) for rows, _ in extended)
+        assert ties[8] == 2106
+
+    def test_class_count_by_burnside(self):
+        # Burnside's lemma over the cycle types of S_n gives the class
+        # counts of generation at every n <= 8, and A000088 at n = 9..12
+        for n, want in KNOWN_CLASS_COUNTS.items():
+            assert enumeration._class_count(n) == want == len(enumeration._level(n)[0]), n
+        counts = [enumeration._class_count(n) for n in range(9, 13)]
+        assert counts == [274668, 12005168, 1018997864, 165091172592]
 
     def test_last_level_wheel_tests(self, monkeypatch, drop_levels):
         # the last level runs the rim test only on a 2-connected child of a
@@ -642,7 +682,7 @@ class TestReportFormats:
 
         forms, facts = enumeration._forms_for(6)
         parents = [(graph_from_canonical(f).rows, x) for f, x in zip(forms, facts)]
-        children = list(zip(*enumeration._child_forms(parents)[2:]))
+        children = list(zip(*enumeration._child_forms(parents)[1:]))
         unlabeled = [(r, x) for r, x in children if not x & enumeration.CANONICAL]
         with mp.get_context("spawn").Pool(2) as pool:
             halves = pool.map(enumeration._child_forms, [parents[0::2], parents[1::2]])
