@@ -39,10 +39,13 @@ exact.
 
 The census's largest level, when no earlier call cached it, is walked as a
 last level: it is never a parent, so it is not cached and keeps only its
-wheel-free 2-connected children, the only graphs the row reads.  It
-extends only the connected parents and drops separable masks before any
-tie is decided, and keeps the rows and the 2-connected count a full level
-gives (:func:`_child_forms` says why); ``all`` is :func:`_class_count`.
+wheel-free 2-connected children, the only graphs the row reads.  It walks
+that class alone: it extends only the connected wheel-free parents and
+drops a mask whose child is separable or has a wheel before any tie is
+decided, and keeps the rows a full level gives (:func:`_child_forms` says
+why).  No row's counts come from generation: ``all`` is
+:func:`_class_count`, Burnside's lemma, and ``two_connected`` is
+:func:`_block_count`, both from the cycle index of graphs.
 
 The census verifies the main characterization through two checks per n:
 
@@ -71,7 +74,7 @@ import os
 from dataclasses import asdict, dataclass, fields, replace
 from functools import partial
 from itertools import combinations
-from math import factorial, gcd, prod
+from math import factorial, gcd
 from typing import Callable, Iterator, Optional, Sequence
 
 from .canon import (
@@ -199,11 +202,11 @@ def _extension_facts(
 
 def _child_forms(
     parents: list[tuple[tuple[int, ...], int]], last: bool = False
-) -> tuple[int, list[bytes], bytearray]:
+) -> tuple[list[bytes], bytearray]:
     """The one-vertex extensions of the given parents (rows and facts byte,
-    all of one size, one per class) that canonical deletion accepts: how
-    many are 2-connected, and their packed rows (:func:`encode_form`) with
-    one facts byte each, in walk order.
+    all of one size, one per class) that canonical deletion accepts: their
+    packed rows (:func:`encode_form`) with one facts byte each, in walk
+    order.
 
     For each degree ``d`` from the parent's maximum degree to ``n_parent``,
     the walk takes every ``d``-subset of the vertices of degree below ``d``:
@@ -246,17 +249,22 @@ def _child_forms(
     byte comes from :func:`_extension_facts` and
     :func:`obstructa.detectors.find_wheel_through`.
 
-    With ``last``, a mask is tested for 2-connectivity right after the orbit
-    skip, and only wheel-free 2-connected children are kept.  From the
-    connected parents, it keeps the full walk's 2-connected count and its
-    wheel-free 2-connected rows and facts, in order: a 2-connected child
-    minus any vertex is connected, and a parent automorphism maps cut
-    components to cut components, so an orbit's masks are all 2-connected
-    or none is.
+    With ``last``, only wheel-free 2-connected children are kept, and a
+    mask is dropped before any tie is decided: right after the orbit skip
+    when its child is separable, and after the rule when the new vertex is
+    a hub (:func:`_extension_facts`) or ``find_wheel_through`` finds a wheel
+    on its rim.  From the connected wheel-free parents, it keeps the full
+    walk's wheel-free 2-connected rows and facts, in order.  Canonical
+    deletion stays exact on that class because both properties pass to the
+    canonical parent G - m: a 2-connected G minus any vertex is connected,
+    and wheel-freeness is hereditary, so G - m, an induced subgraph of a
+    wheel-free G, is wheel-free; m does not depend on the class.  Both
+    properties are the same on every mask of an orbit, since an
+    automorphism of the parent, fixing the new vertex, is an isomorphism
+    between their children, so the orbit skip is unchanged.
     """
     accepted: list[bytes] = []
     accepted_facts = bytearray()
-    two_connected_classes = 0
     n_parent = len(parents[0][0]) if parents else 0
     n = n_parent + 1
     vbit = 1 << n_parent
@@ -339,26 +347,33 @@ def _child_forms(
                         if image not in done:
                             done.add(image)
                             orbit.append(image)
-                # the child's rows are grown only for a tie, a rim test or
-                # a kept child, which a last level needs for few children
-                child = _grow(rows, mask) if rivals else None
-                kept = _decide_tie(n, child, rivals) if rivals else (None, 0)
-                if kept is None:
-                    continue
-                biconnected = last or two_connected(mask)
-                two_connected_classes += biconnected
-                wheel_free = hub_free(mask)
-                if wheel_free:
+                child = None
+                if last:
+                    if not hub_free(mask):
+                        continue
+                    child = _grow(rows, mask)
+                    if find_wheel_through(child, n_parent, vbit - 1):
+                        continue
+                form, labeled = None, 0
+                if rivals:
                     child = child or _grow(rows, mask)
-                    wheel_free = not find_wheel_through(child, n_parent, vbit - 1)
-                if last and not wheel_free:
-                    continue
-                form, labeled = kept
+                    kept = _decide_tie(n, child, rivals)
+                    if kept is None:
+                        continue
+                    form, labeled = kept
+                if last:
+                    fact = TWO_CONNECTED | WHEEL_FREE
+                else:
+                    # the rows are grown only for a tie, a rim test or the
+                    # packed form, so most children build them once
+                    wheel_free = hub_free(mask)
+                    if wheel_free:
+                        child = child or _grow(rows, mask)
+                        wheel_free = not find_wheel_through(child, n_parent, vbit - 1)
+                    fact = two_connected(mask) * TWO_CONNECTED | wheel_free * WHEEL_FREE
                 accepted.append(encode_form(n, form or child or _grow(rows, mask)))
-                accepted_facts.append(
-                    biconnected * TWO_CONNECTED | wheel_free * WHEEL_FREE | labeled
-                )
-    return two_connected_classes, accepted, accepted_facts
+                accepted_facts.append(fact | labeled)
+    return accepted, accepted_facts
 
 
 def _grow(rows: tuple[int, ...], mask: int) -> list[int]:
@@ -465,14 +480,16 @@ def _in_orbit(gens: list[tuple[int, ...]], u: int, v: int) -> bool:
     return v in orbit
 
 
-def _children(n: int, jobs: int, last: bool = False) -> tuple[int, list[bytes], bytes]:
-    """:func:`_child_forms` over the (for ``last``, connected) classes on
-    ``n - 1`` vertices, its chunks' counts added and their rows and facts joined."""
-    parents = [(graph_from_canonical(r).rows, x) for r, x in zip(*_level(n - 1, jobs))]
+def _children(n: int, jobs: int, last: bool = False) -> tuple[list[bytes], bytes]:
+    """:func:`_child_forms` over the classes on ``n - 1`` vertices (for
+    ``last``, the connected wheel-free ones), its chunks' rows and facts
+    joined."""
+    level = [(r, x) for r, x in zip(*_level(n - 1, jobs)) if not last or x & WHEEL_FREE]
+    parents = [(graph_from_canonical(r).rows, x) for r, x in level]
     parents = [p for p in parents if not last or is_connected_masked(p[0], (1 << n - 1) - 1)]
     chunks = _map_chunks(partial(_child_forms, last=last), parents, jobs)
-    two_connected, rows, facts = zip(*chunks)
-    return sum(two_connected), [r for c in rows for r in c], b"".join(facts)
+    rows, facts = zip(*chunks)
+    return [r for c in rows for r in c], b"".join(facts)
 
 
 def _level(n: int, jobs: int = 1) -> tuple[tuple[bytes, ...], bytes]:
@@ -480,41 +497,108 @@ def _level(n: int, jobs: int = 1) -> tuple[tuple[bytes, ...], bytes]:
     byte per graph: the sorted canonical view once :func:`_forms_for` has
     made it, else the children generation accepted, in generation order."""
     if n not in _atlas:
-        _, rows, facts = _children(n, jobs)
+        rows, facts = _children(n, jobs)
         _atlas[n] = tuple(rows), facts, False
     rows, facts, _ = _atlas[n]
     return rows, facts
 
 
-def _census_level(n: int, jobs: int, last: bool) -> tuple[int, list[bytes]]:
-    """The number of 2-connected classes on ``n`` vertices and one graph
-    per wheel-free 2-connected class as packed rows: from :func:`_level`,
-    or from an uncached walk with ``last`` when ``last`` and not cached."""
+def _census_level(n: int, jobs: int, last: bool) -> list[bytes]:
+    """One graph per wheel-free 2-connected class on ``n`` vertices, as
+    packed rows: from :func:`_level`, or from an uncached walk with
+    ``last`` when ``last`` and not cached."""
     if last and n not in _atlas:
-        return _children(n, jobs, last=True)[:2]
+        return _children(n, jobs, last=True)[0]
     level, facts = _level(n, jobs)
     both = TWO_CONNECTED | WHEEL_FREE
-    kept = [r for r, x in zip(level, facts) if x & both == both]
-    return sum(1 for x in facts if x & TWO_CONNECTED), kept
+    return [r for r, x in zip(level, facts) if x & both == both]
+
+
+def _cycle_index(n: int, t: Sequence[int]) -> tuple[list[int], list[int]]:
+    """The cycle index Z_G of the species of graphs and its derivative
+    ∂Z_G/∂p₁, both at p_j = x^j·t(x^j), as coefficient lists to degree
+    ``n`` (Harary & Palmer, *Graphical Enumeration*).  Z_G is the sum over
+    the cycle types of S_m, every m <= n, of 2^pairs·p_λ / z.  There are
+    m! / z permutations with cycle lengths λ = c_1 >= ... >= c_k, z the
+    product of the c_i and of r! for the r cycles of each length.  Each
+    moves the vertex pairs in pairs = Σ floor(c_i / 2) + Σ_{i<j}
+    gcd(c_i, c_j) cycles, and fixes the 2^pairs graphs whose edge sets are
+    unions of those cycles.  The walk appends cycles in nonincreasing order
+    and keeps, per type, the product of the t(x^{c_i}) to the degree it can
+    reach; a type's derivative term is its parent type's product, as the
+    1-cycles come last.  Terms are kept times n!, an integer since z
+    divides it; for integer t the sums are the unlabeled series of
+    (virtual) species, so dividing by n! is exact."""
+    scale = factorial(n)
+    index = [0] * (n + 1)
+    derivative = [0] * (n + 1)
+    stack = [((), 0, 0, 1, [1] + [0] * n)]
+    while stack:
+        cycles, m, pairs, z, series = stack.pop()
+        weight = (scale // z) << pairs
+        for k, a in enumerate(series):
+            index[m + k] += weight * a
+        for c in range(1, min([n - m, *cycles[-1:]]) + 1):
+            top = n - m - c
+            grown = [0] * (top + 1)
+            for j, tj in enumerate(t[: top // c + 1]):
+                for k in range(top + 1 - j * c):
+                    grown[k + j * c] += tj * series[k]
+            r = cycles.count(c) + 1
+            grown_pairs = pairs + c // 2 + sum(gcd(c, b) for b in cycles)
+            grown_z = z * c * r
+            if c == 1:
+                grown_weight = r * (scale // grown_z) << grown_pairs
+                for k in range(top + 1):
+                    derivative[m + k] += grown_weight * series[k]
+            stack.append(((*cycles, c), m + c, grown_pairs, grown_z, grown))
+    return [a // scale for a in index], [a // scale for a in derivative]
 
 
 def _class_count(n: int) -> int:
     """The number of classes on ``n`` vertices (OEIS A000088) by Burnside's
-    lemma (Harary & Palmer, *Graphical Enumeration*): the mean over the n!
-    vertex permutations of 2 to the number of cycles each induces on the
-    vertex pairs.  The n! / z permutations with cycle lengths c_1 >= ... >=
-    c_k, z the product of the c_i and of m! for the m cycles of each length,
-    induce sum floor(c_i / 2) + sum_{i<j} gcd(c_i, c_j) pair cycles each."""
-    total = 0
-    stack = [((), n)]
-    while stack:
-        cycles, left = stack.pop()
-        stack += [((*cycles, c), left - c) for c in range(1, min([left, *cycles[-1:]]) + 1)]
-        if not left:
-            pairs = sum(c // 2 + sum(gcd(c, b) for b in cycles[:i]) for i, c in enumerate(cycles))
-            z = prod(cycles) * prod(factorial(cycles.count(c)) for c in set(cycles))
-            total += (factorial(n) // z) << pairs
-    return total // factorial(n)
+    lemma: Z_G at p_j = x^j (:func:`_cycle_index`)."""
+    return _cycle_index(n, [1])[0][n]
+
+
+def _plethystic_log(f: Sequence[int]) -> list[int]:
+    """Log f = Σ_k μ(k)/k·log f(x^k) for an integer series f with f(0) =
+    1, in integers: the a with f = Π_m (1 - x^m)^(-a_m), from
+    x·f'/f = Σ_m (Σ_{d|m} d·a_d) x^m."""
+    b = [0] * len(f)
+    a = [0] * len(f)
+    for m in range(1, len(f)):
+        b[m] = m * f[m] - sum(b[k] * f[m - k] for k in range(1, m))
+        a[m] = (b[m] - sum(d * a[d] for d in range(1, m) if m % d == 0)) // m
+    return a
+
+
+def _block_count(n: int) -> int:
+    """The number of 2-connected classes on ``n`` vertices (OEIS A002218),
+    from cycle indices and no generation (Robinson, "Enumeration of
+    non-separable graphs", J. Combin. Theory 9, 1970).  K₂ is not
+    2-connected here, so n < 3 gives 0.
+
+    Connected graphs have Z_C = Log Z_G, so the rooted ones have C• =
+    p₁·∂Z_C/∂p₁ = p₁·(∂Z_G/∂p₁) / Z_G.  A rooted connected graph is its
+    root with a set of blocks through it, each carrying a rooted connected
+    graph at its other vertices, so C• = p₁·Exp(B′(C•)) and B′(C•) =
+    Log(C• / p₁).  The block–cutpoint tree gives the dissymmetry theorem
+    C + C•·B′(C•) = C• + B(C•) (Bergeron, Labelle & Leroux, *Combinatorial
+    Species*, §4.2).  Plethysm with the inverse D of C• (C•∘D = p₁)
+    recovers B, and at p_j = x^j it reads p_j∘D as d(x^j): with
+    d(x) = x·t(x), the unlabeled series of B is Log g − x − x·Log t, where
+    g(x) = Z_G(p_j = d(x^j)) and C•∘D = p₁ says t·g₁ = g, g₁ the same
+    value of ∂Z_G/∂p₁.  Degree k of g and of g₁ reads only t_0 .. t_{k-1},
+    so t is solved degree by degree from t_0 = 1."""
+    if n < 3:
+        return 0
+    t = [1]
+    for k in range(1, n):
+        g, g1 = _cycle_index(k + 1, t)
+        t.append(g[k] - sum(t[i] * g1[k - i] for i in range(k)))
+    g = _cycle_index(n, t)[0]
+    return _plethystic_log(g)[n] - _plethystic_log(t)[n - 1]
 
 
 def _label(graphs: list[tuple[bytes, int]]) -> list[tuple[bytes, int]]:
@@ -652,14 +736,14 @@ def verify_main_theorem(max_n: int, jobs: Optional[int] = None) -> CensusReport:
     each level as generation left it, or from an uncached level ``max_n``
     walked as a last level.  No class is tested for 2-connectivity or
     wheels apart from generation's rules, and only counterexamples are
-    labeled; ``all`` is :func:`_class_count`."""
+    labeled; ``all`` is :func:`_class_count` and ``two_connected``
+    :func:`_block_count`."""
     _check_vertex_count(max_n, "verification")
     jobs = resolve_jobs(jobs)
     rows = []
     counterexamples: set[str] = set()
     for n in range(1, max_n + 1):
-        two_connected, kept = _census_level(n, jobs, n == max_n)
-        classes = [graph_from_canonical(r) for r in kept]
+        classes = [graph_from_canonical(r) for r in _census_level(n, jobs, n == max_n)]
         free = [g for g in classes if find_induced_3pc(g) is None]
         non_hamiltonian = [g for g in free if not find_hamiltonian_cycle(g).found]
         counterexamples.update(map(_canonical_graph6, non_hamiltonian))
@@ -669,7 +753,7 @@ def verify_main_theorem(max_n: int, jobs: Optional[int] = None) -> CensusReport:
             CensusRow(
                 n=n,
                 all=_class_count(n),
-                two_connected=two_connected,
+                two_connected=_block_count(n),
                 wheel_free_2conn=len(classes),
                 three_pc_free_among_those=len(free),
                 hamiltonian_among_those=len(free) - len(non_hamiltonian),

@@ -20,12 +20,7 @@ from obstructa.canon import (
 )
 from obstructa.cli import EXIT_COUNTEREXAMPLE, main
 from obstructa.detectors import classify, find_induced_3pc, find_induced_wheel, find_wheel_through
-from obstructa.enumeration import (
-    CensusReport,
-    census,
-    enumerate_graphs,
-    verify_main_theorem,
-)
+from obstructa.enumeration import census, enumerate_graphs, verify_main_theorem
 from obstructa.errors import InvalidJobCount, TooLarge
 from obstructa.families import all_specs_up_to, build_3pc, parse_spec
 from obstructa.graphs import Graph, encode_graph6, graph_from_edges, is_two_connected
@@ -97,24 +92,27 @@ class TestGeneration:
         # edges among the neighbours) and neither twins nor the root
         # equitable partition decide the tie, and a parent only when some
         # cell of its root partition is not one twin class: verify at
-        # n <= 8 makes 1,262 searches, 356 of them for the automorphism
-        # generators of a parent, since its last level extends only the 853
-        # connected parents and decides only the ties of 2-connected
-        # children.  With level 8 walked in full it made 1,750, 429 for
-        # parents, where searching each of the 1,253 parents made 2,574, the
-        # invariant without its third coordinate 2,616, labeling every tied
-        # child 6,146 and labeling every child 15,908.  The sorted view
-        # labels once each class accepted without a search, so per n
-        # enumerate_graphs labels each class once plus each tied child the
-        # search rejects: 13,600 at n <= 8 (13,625 without
-        # the third coordinate), no more than the 14,655 of labeling every
-        # tie, which labeled as many children as the seen-set did, one per
+        # n <= 8 makes 454 searches, 165 of them for the automorphism
+        # generators of a parent, since its last level extends only the 259
+        # connected wheel-free parents and decides only the ties of
+        # wheel-free 2-connected children.  Extending the 853 connected
+        # parents and deciding the ties of every 2-connected child it made
+        # 1,262, 356 for parents; with level 8 walked in full it made
+        # 1,750, 429 for parents, where searching each of the 1,253 parents
+        # made 2,574, the invariant without its third coordinate 2,616,
+        # labeling every tied child 6,146 and labeling every child 15,908.
+        # The sorted view labels once each class accepted without a search,
+        # so per n enumerate_graphs labels each class once plus each tied
+        # child the search rejects: 13,600 at n <= 8 (13,625 without the
+        # third coordinate), no more than the 14,655 of labeling every tie,
+        # which labeled as many children as the seen-set did, one per
         # automorphism orbit of masks where the new vertex maximizes
-        # (degree, sum of neighbour degrees).  A searched tie or parent starts
-        # from the root partition refined before it, so verify refines
-        # 7,379 partitions.  With level 8 walked in full it refined 10,144,
-        # against 10,849 when every parent was searched, 12,374 without the
-        # third coordinate and 13,737 when each search refined its own root
+        # (degree, sum of neighbour degrees).  A searched tie or parent
+        # starts from the root partition refined before it, so verify refines
+        # 2,568 partitions, against 7,379 from the connected parents.  With
+        # level 8 walked in full it refined 10,144, against 10,849 when
+        # every parent was searched, 12,374 without the third coordinate
+        # and 13,737 when each search refined its own root
         sizes = []
         refined = []
         search = enumeration._canonical_search
@@ -134,17 +132,17 @@ class TestGeneration:
         monkeypatch.setattr(canon, "_refine", counting_refine)
         drop_levels()
         assert verify_main_theorem(8, jobs=1).counterexamples == ()
-        assert len(refined) == 7379
+        assert len(refined) == 2568
         # the searches on n vertices: the parents of n + 1 vertices whose
         # root partition does not settle their group, and the tied children
         # on n vertices that go to the search
         per_size = collections.Counter(sizes)
-        assert [per_size[n] for n in range(9)] == [0, 0, 0, 0, 6, 16, 97, 428, 715]
-        assert len(sizes) == 1262
+        assert [per_size[n] for n in range(9)] == [0, 0, 0, 0, 6, 16, 97, 237, 98]
+        assert len(sizes) == 454
         # less the tied children searched at n = 4..7, as pinned in
-        # test_tie_decision_matches_the_search, and the 715 of the last
+        # test_tie_decision_matches_the_search, and the 98 of the last
         # level n = 8, of the full level's 1,130
-        assert len(sizes) - sum([3, 6, 37, 145, 715]) == 356
+        assert len(sizes) - sum([3, 6, 37, 145, 98]) == 165
         drop_levels()
         per_n = []
         for n in range(1, 9):
@@ -164,7 +162,7 @@ class TestGeneration:
         monkeypatch.setattr(enumeration, "_decide_tie", lambda n, child, rivals: (child, 0))
         for n in range(min(7, max(atlas8)) + 1):
             for g in atlas8[n]:
-                accepted = enumeration._child_forms([(g.rows, 0)])[1]
+                accepted = enumeration._child_forms([(g.rows, 0)])[0]
                 passed = [graph_from_canonical(r).rows[-1] for r in accepted]
                 gens = _canonical_search(n, g.rows)[2]
                 assert passed == helpers.labeled_masks_reference(n, g.rows, gens), g
@@ -190,7 +188,7 @@ class TestGeneration:
                 rows = graph_from_canonical(packed).rows
                 assert n - 1 in canonical_maximizer_orbit(n, rows), rows
         parents = [(graph_from_canonical(r).rows, x) for r, x in zip(*enumeration._level(7))]
-        halves = [enumeration._child_forms(parents[i::2])[1] for i in range(2)]
+        halves = [enumeration._child_forms(parents[i::2])[0] for i in range(2)]
         forms = [{canonical_form(graph_from_canonical(r)) for r in half} for half in halves]
         assert not forms[0] & forms[1]
         assert len(forms[0]) + len(forms[1]) == KNOWN_CLASS_COUNTS[8]
@@ -342,14 +340,14 @@ class TestGeneration:
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_last_level_report_equals_cached_level_report(self, drop_levels, jobs):
-        # verify walks an uncached level max_n as a last level, which counts
-        # its classes and keeps only the wheel-free 2-connected ones; at
-        # every n <= 8 its report is byte-identical with the one read from
-        # the cached full level, and it keeps the same classes
+        # verify walks an uncached level max_n as a last level, which keeps
+        # only the wheel-free 2-connected classes; at every n <= 8 its
+        # report is byte-identical with the one read from the cached full
+        # level, and it keeps the same classes
         drop_levels()
 
         def kept_classes(n):
-            kept = enumeration._census_level(n, jobs, True)[1]
+            kept = enumeration._census_level(n, jobs, True)
             return sorted(canonical_form(graph_from_canonical(r)) for r in kept)
 
         for n in range(1, 9):
@@ -375,29 +373,33 @@ class TestGeneration:
         assert sorted(enumeration._atlas) == list(range(8))
 
     def test_last_walk_keeps_the_full_walks_rows(self):
-        # at every n <= 8, the walk with last from the connected parents
-        # counts the 2-connected classes of the full walk from all parents
-        # and keeps, byte for byte and in order, the full walk's rows and
-        # facts whose facts say 2-connected and wheel-free: a searched tie in
-        # its canonical form
+        # at every n <= 8, the walk with last from the connected wheel-free
+        # parents keeps, byte for byte and in order, the full walk's rows
+        # and facts whose facts say 2-connected and wheel-free: a searched
+        # tie in its canonical form
         both = enumeration.TWO_CONNECTED | enumeration.WHEEL_FREE
         for n in range(1, 9):
             level = zip(*enumeration._level(n - 1))
             parents = [(graph_from_canonical(r).rows, x) for r, x in level]
-            two_connected, rows, facts = enumeration._child_forms(parents)
+            rows, facts = enumeration._child_forms(parents)
             assert len(rows) == KNOWN_CLASS_COUNTS[n]
-            assert two_connected == KNOWN_TWO_CONNECTED[n]
             kept = [(r, x) for r, x in zip(rows, facts) if x & both == both]
-            want = (two_connected, [r for r, _ in kept], bytearray(x for _, x in kept))
+            want = ([r for r, _ in kept], bytearray(x for _, x in kept))
             full = (1 << n - 1) - 1
-            connected = [p for p in parents if graphs.is_connected_masked(p[0], full)]
-            assert enumeration._child_forms(connected, last=True) == want, n
+            members = [
+                (r, x)
+                for r, x in parents
+                if x & enumeration.WHEEL_FREE and graphs.is_connected_masked(r, full)
+            ]
+            assert enumeration._child_forms(members, last=True) == want, n
 
     def test_last_level_extends_connected_parents(self, monkeypatch, drop_levels):
-        # a cold verify at 8 extends, at its last level, the 853 connected
-        # classes on 7 vertices (OEIS A001349) of the 1,044, and decides
-        # 2,106 ties, where the full level decides 3,418: a separable mask
-        # is dropped before its tie is decided
+        # a cold verify at 8 extends, at its last level, the 259 connected
+        # wheel-free classes on 7 vertices of the 1,044 (853 are connected,
+        # OEIS A001349), and decides 131 ties, where the full level decides
+        # 3,418 and one from the connected parents that drops only the
+        # separable masks 2,106: a mask whose child is separable or has a
+        # wheel is dropped before its tie is decided
         extended = []
         ties = collections.Counter()
         walk, decide = enumeration._child_forms, enumeration._decide_tie
@@ -415,9 +417,10 @@ class TestGeneration:
         monkeypatch.setattr(enumeration, "_decide_tie", counting_decide)
         drop_levels()
         verify_main_theorem(8, jobs=1)
-        assert len(extended) == 853
+        assert len(extended) == 259
         assert all(graphs.is_connected_masked(rows, (1 << 7) - 1) for rows, _ in extended)
-        assert ties[8] == 2106
+        assert all(x & enumeration.WHEEL_FREE for _, x in extended)
+        assert ties[8] == 131
 
     def test_class_count_by_burnside(self):
         # Burnside's lemma over the cycle types of S_n gives the class
@@ -427,10 +430,28 @@ class TestGeneration:
         counts = [enumeration._class_count(n) for n in range(9, 13)]
         assert counts == [274668, 12005168, 1018997864, 165091172592]
 
+    def test_block_count_by_cycle_indices(self):
+        # the count of 2-connected classes from cycle indices equals the
+        # 2-connected facts of generation at every n <= 8, and A002218 at
+        # n = 9..12; Log of the class counts, Z_C at p_j = x^j, equals the
+        # connected classes of generation at n <= 8 and A001349 at n = 9..12
+        connected = enumeration._plethystic_log([enumeration._class_count(n) for n in range(13)])
+        for n in range(1, 9):
+            level, facts = enumeration._level(n)
+            two_connected = sum(1 for x in facts if x & enumeration.TWO_CONNECTED)
+            assert enumeration._block_count(n) == KNOWN_TWO_CONNECTED[n] == two_connected, n
+            full = (1 << n) - 1
+            rows = [graph_from_canonical(r).rows for r in level]
+            assert connected[n] == sum(graphs.is_connected_masked(r, full) for r in rows), n
+        counts = [enumeration._block_count(n) for n in range(9, 13)]
+        assert counts == [194066, 9743542, 900969091, 153620333545]
+        assert connected[9:] == [261080, 11716571, 1006700565, 164059830476]
+
     def test_last_level_wheel_tests(self, monkeypatch, drop_levels):
         # the last level runs the rim test only on a 2-connected child of a
-        # wheel-free parent that passes the hub test: 826 children at n = 8,
-        # where the full level tests 2,891 hub-free children of wheel-free
+        # connected wheel-free parent that passes the rule, the orbit skip
+        # and the hub test, before any tie: 862 children at n = 8, where the
+        # full level tests 2,891 accepted hub-free children of wheel-free
         # parents, 2-connected or not
         calls = collections.Counter()
         real = enumeration.find_wheel_through
@@ -442,7 +463,7 @@ class TestGeneration:
         monkeypatch.setattr(enumeration, "find_wheel_through", counting)
         drop_levels()
         verify_main_theorem(8, jobs=1)
-        assert calls[8] == 826
+        assert calls[8] == 862
         calls.clear()
         enumeration._level(8)
         assert calls[8] == 2891
@@ -682,7 +703,7 @@ class TestReportFormats:
 
         forms, facts = enumeration._forms_for(6)
         parents = [(graph_from_canonical(f).rows, x) for f, x in zip(forms, facts)]
-        children = list(zip(*enumeration._child_forms(parents)[1:]))
+        children = list(zip(*enumeration._child_forms(parents)))
         unlabeled = [(r, x) for r, x in children if not x & enumeration.CANONICAL]
         with mp.get_context("spawn").Pool(2) as pool:
             halves = pool.map(enumeration._child_forms, [parents[0::2], parents[1::2]])
